@@ -67,6 +67,7 @@ def _run_case(scenario: Scenario, case: str, dsm: bool, opts: MilpOptions):
         "solution": solution,
         "seconds": elapsed,
         "scenario": sc,
+        "model": model,
     }
     if solution.status == OPTIMAL:
         schedule = extract_schedule(sc, varmap, solution)
@@ -155,9 +156,8 @@ def solve(scenario_file, case, dsm, out_dir, origin_hour, node_limit,
         _print_result(res)
         _write_artifacts(res, out_dir, origin_hour)
         if dump_lp:
-            model, _ = build_model(res["scenario"])
             tag = f"{res['case']}_{'dsm' if res['dsm'] else 'nodsm'}"
-            model.write_lp(out_dir / f"model_{tag}.lp")
+            res["model"].write_lp(out_dir / f"model_{tag}.lp")
         ok = ok and res["status"] == OPTIMAL
     sys.exit(0 if ok else 1)
 

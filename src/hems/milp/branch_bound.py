@@ -4,12 +4,21 @@ Best-bound node selection (ties: deeper node, then insertion order) and
 most-fractional branching (ties: lowest variable id). Node LPs are solved by
 the bounded-variable simplex with the branching decisions applied as bounds.
 
-One exact shortcut is applied: when flipping the branched binary inside the
-parent's optimal point keeps every row feasible and does not increase the
-objective, that point is optimal for the child (the child is a restriction of
-the parent, so its optimum can only be higher). Such children are enqueued
-already solved. This collapses the up-branch cascades caused by cost-free
-big-M indicator binaries.
+Two LP-free steps work on each node's optimal point:
+
+* Rounding: when the point has fractional binaries, they are visited in
+  ascending id order and each is set to its nearest integer, or else to the
+  other value, keeping the value only if every row still holds. If all of
+  them fit, the rounded point is a feasible solution and becomes the
+  incumbent when its cost improves on it. With cost-free binaries, as in the
+  indicator binaries of the home energy model, it costs what the node's LP
+  does, so the node closes at once.
+* Exact inheritance: when flipping the branched binary inside the parent's
+  optimal point keeps every row feasible and does not increase the objective,
+  that point is optimal for the child (the child is a restriction of the
+  parent, so its optimum can only be higher). Such children are enqueued
+  already solved. This collapses the up-branch cascades caused by cost-free
+  big-M indicator binaries.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from .model import (
     UNBOUNDED,
     MILPModel,
     MILPSolution,
-    ModelError,
 )
 from .simplex import DEFAULT_LP_ITERATION_LIMIT, FEAS_TOL, CompiledLP, solve_compiled
 
@@ -39,8 +47,6 @@ class MilpOptions:
     gap_tol: float = 1e-9
     node_limit: int = 1_000_000
     lp_iteration_limit: int = DEFAULT_LP_ITERATION_LIMIT
-    branch_rule: str = "most-fractional"
-    node_order: str = "best-bound"
 
 
 @dataclass(eq=False)
@@ -52,73 +58,34 @@ class _Node:
     solved_obj: float = math.nan
 
 
-def _most_fractional(values: np.ndarray, binary_ids: np.ndarray, tol: float) -> int:
-    """Id of the binary farthest from integrality, or -1 if all integral."""
+def _fractional(
+    values: np.ndarray, binary_ids: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the binaries farther than `tol` from integrality, and their distances."""
     v = values[binary_ids]
     dist = np.minimum(np.abs(v), np.abs(1.0 - v))
-    j = int(np.argmax(dist))
-    if dist[j] <= tol:
-        return -1
-    return int(binary_ids[j])
+    keep = dist > tol
+    return binary_ids[keep], dist[keep]
 
 
-def _dive_for_incumbent(
-    core: CompiledLP,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    binary_ids: np.ndarray,
-    x0: np.ndarray,
-    int_tol: float,
-    lp_iteration_limit: int,
-    max_lps: int = 80,
-) -> tuple[float, np.ndarray, int] | None:
-    """Greedy rounding dive: returns (objective, point, lp iterations) or None.
+def _round(core: CompiledLP, x: np.ndarray, frac_ids: np.ndarray) -> np.ndarray | None:
+    """Round the fractional binaries of `x` one by one in ascending id order,
+    nearest integer first, keeping a value only while every row holds.
 
-    Each round flips fractional binaries onto an integer side, accepting a
-    flip only when the cumulatively flipped point stays row-feasible (so the
-    re-solve after fixing is guaranteed feasible). Binaries whose flips both
-    break a row (e.g. one-of-n choice groups) are fixed one per round to
-    their most decided side, where infeasibility can end the dive. This only
-    seeds the incumbent: optimality is still proven by the search.
+    Returns the rounded point, or None when some binary fits neither way.
+    A fractional binary is free at its node, so both values respect its
+    bounds.
     """
-    lo = lower.copy()
-    hi = upper.copy()
-    x = x0
-    lps = 0
-    iters = 0
-    while lps < max_lps:
-        v = x[binary_ids]
-        dist = np.minimum(np.abs(v), np.abs(1.0 - v))
-        free = lo[binary_ids] < hi[binary_ids]
-        frac_idx = np.where(free & (dist > int_tol))[0]
-        if frac_idx.size == 0:
-            return float(core.cost @ x), x, iters
-        xt = x.copy()
-        fixed_any = False
-        for j in frac_idx:
-            vid = int(binary_ids[j])
-            rounded = round(float(v[j]))
-            for val in (rounded, 1 - rounded):
-                old = xt[vid]
-                xt[vid] = float(val)
-                if core.rows_feasible(xt):
-                    lo[vid] = hi[vid] = float(val)
-                    fixed_any = True
-                    break
-                xt[vid] = old
-        if not fixed_any:
-            # Choice-group variables: commit the most decided one and let the
-            # re-solve redistribute its group.
-            j = frac_idx[int(np.argmin(dist[frac_idx]))]
-            vid = int(binary_ids[j])
-            lo[vid] = hi[vid] = round(float(v[j]))
-        res = solve_compiled(core, lo, hi, lp_iteration_limit)
-        lps += 1
-        iters += res.iterations
-        if res.status != OPTIMAL:
+    xt = x.copy()
+    for vid in frac_ids:
+        rounded = float(round(xt[vid]))
+        for val in (rounded, 1.0 - rounded):
+            xt[vid] = val
+            if core.rows_feasible(xt):
+                break
+        else:
             return None
-        x = res.x
-    return None
+    return xt
 
 
 def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolution:
@@ -129,10 +96,6 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
     with the best incumbent found when a node or LP budget runs out.
     """
     opts = options or MilpOptions()
-    if opts.branch_rule != "most-fractional":
-        raise ModelError(f"unsupported branch rule {opts.branch_rule!r}")
-    if opts.node_order != "best-bound":
-        raise ModelError(f"unsupported node order {opts.node_order!r}")
 
     core = CompiledLP(model)
     lo, hi = model.bounds_arrays()
@@ -187,41 +150,12 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
             x, obj = res.x, res.objective
             if node.depth == 0:
                 grain = max(opts.gap_tol, 1e-7 * (1.0 + abs(obj)))
-                # Diving pays off on wide trees; small models finish faster
-                # without the extra LPs.
-                if binary_ids.size > 16 and _most_fractional(x, binary_ids, opts.integrality_tol) >= 0:
-                    dive = _dive_for_incumbent(
-                        core, node.lower, node.upper, binary_ids, x,
-                        opts.integrality_tol, opts.lp_iteration_limit,
-                    )
-                    if dive is not None:
-                        dive_obj, dive_x, dive_iters = dive
-                        lp_iterations += dive_iters
-                        if dive_obj < best_obj:
-                            best_obj = dive_obj
-                            incumbent = dive_x
 
         if obj >= best_obj - opts.gap_tol:
             continue
 
-        if node.depth > 0 and nodes_explored % 40 == 0 and binary_ids.size > 16:
-            # Periodic re-dive from the current node keeps the incumbent
-            # honest on plateaus where the root dive landed poorly.
-            dive = _dive_for_incumbent(
-                core, node.lower, node.upper, binary_ids, x,
-                opts.integrality_tol, opts.lp_iteration_limit,
-            )
-            if dive is not None:
-                dive_obj, dive_x, dive_iters = dive
-                lp_iterations += dive_iters
-                if dive_obj < best_obj:
-                    best_obj = dive_obj
-                    incumbent = dive_x
-                    if obj >= best_obj - opts.gap_tol:
-                        continue
-
-        j = _most_fractional(x, binary_ids, opts.integrality_tol) if binary_ids.size else -1
-        if j < 0:
+        frac_ids, dist = _fractional(x, binary_ids, opts.integrality_tol)
+        if frac_ids.size == 0:
             # Integral: new incumbent (strict improvement keeps the first
             # solution found among ties, deterministically).
             if obj < best_obj:
@@ -229,6 +163,16 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
                 incumbent = x
             continue
 
+        rounded = _round(core, x, frac_ids)
+        if rounded is not None:
+            rounded_obj = float(core.cost @ rounded)
+            if rounded_obj < best_obj:
+                best_obj = rounded_obj
+                incumbent = rounded
+                if obj >= best_obj - opts.gap_tol:
+                    continue
+
+        j = int(frac_ids[np.argmax(dist)])
         for val in (0.0, 1.0):
             clo = node.lower if val == 0.0 else node.lower.copy()
             chi = node.upper if val == 1.0 else node.upper.copy()

@@ -1,21 +1,31 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hems
+import hems.milp.branch_bound as branch_bound
+from hems.formulation import build_model
 from hems.milp import (
     INFEASIBLE,
     ITERATION_LIMIT,
     OPTIMAL,
     MILPModel,
     MilpOptions,
-    ModelError,
     solve_lp,
     solve_milp,
 )
+from hems.milp.simplex import CompiledLP
+from hems.scenario import synth_case
 
 from lp_oracle import random_boxed_lp
+
+HOURLY = Path(__file__).resolve().parent.parent / "scenarios" / "reference_hourly.yaml"
 
 
 def enumerate_milp(model: MILPModel) -> tuple[str, float]:
@@ -117,16 +127,6 @@ def test_node_limit_returns_incumbent_status():
     assert hit
 
 
-def test_rejects_unknown_options():
-    m = MILPModel()
-    m.add_binary("u")
-    m.set_objective([(0, 1.0)])
-    with pytest.raises(ModelError, match="branch rule"):
-        solve_milp(m, MilpOptions(branch_rule="pseudocost"))
-    with pytest.raises(ModelError, match="node order"):
-        solve_milp(m, MilpOptions(node_order="dfs"))
-
-
 def test_random_milps_match_brute_force():
     rng = np.random.default_rng(2024)
     n_checked = 0
@@ -174,3 +174,96 @@ def test_integral_binaries_within_tolerance():
             for vid in model.binary_ids():
                 v = r.values[vid]
                 assert min(abs(v), abs(1 - v)) <= 1e-6
+
+
+def _record_lp_iterations(monkeypatch) -> list[int]:
+    """Iteration counts of every node LP that solve_milp runs from now on."""
+    iterations: list[int] = []
+    original = branch_bound.solve_compiled
+
+    def counted(*args, **kwargs):
+        res = original(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(branch_bound, "solve_compiled", counted)
+    return iterations
+
+
+def _round_fixture() -> MILPModel:
+    """x <= u with u binary: u = 0 breaks the row whenever x > 0."""
+    m = MILPModel()
+    x = m.add_continuous("x", 0.0, 1.0)
+    u = m.add_binary("u")
+    m.add_constraint([(x, 1.0), (u, -1.0)], "<=", 0.0, "link")
+    return m
+
+
+def test_round_takes_the_other_value_when_the_nearest_breaks_a_row():
+    core = CompiledLP(_round_fixture())
+    rounded = branch_bound._round(core, np.array([0.4, 0.4]), np.array([1]))
+    assert rounded is not None
+    assert rounded.tolist() == [0.4, 1.0]
+
+
+def test_round_fails_when_neither_value_fits():
+    m = _round_fixture()
+    m.add_constraint([(1, 1.0)], "<=", 0.7, "cap")
+    core = CompiledLP(m)
+    assert branch_bound._round(core, np.array([0.4, 0.4]), np.array([1])) is None
+
+
+@pytest.mark.parametrize("dsm", [False, True])
+@pytest.mark.parametrize("case", "ABCD")
+def test_lp_iterations_count_every_lp(monkeypatch, hourly_reference, case, dsm):
+    iterations = _record_lp_iterations(monkeypatch)
+    model, _ = build_model(synth_case(case, dsm, hourly_reference))
+    r = solve_milp(model)
+    assert r.status == OPTIMAL
+    assert r.lp_iterations == sum(iterations)
+
+
+@pytest.mark.parametrize("case", "ABCD")
+def test_rounding_closes_the_root_without_dsm(monkeypatch, hourly_reference, case):
+    """Cost-free binaries: a rounding that keeps every row feasible costs what
+    the root LP does, so the root node closes after its one LP."""
+    iterations = _record_lp_iterations(monkeypatch)
+    model, _ = build_model(synth_case(case, False, hourly_reference))
+    r = solve_milp(model)
+    assert r.status == OPTIMAL
+    assert r.nodes_explored == 1
+    assert len(iterations) == 1
+
+
+_SWEEP_DIGEST = """
+import hashlib, sys
+from hems.formulation import build_model
+from hems.milp import solve_milp
+from hems.scenario import load_scenario, synth_case
+
+ref = load_scenario(sys.argv[1])
+h = hashlib.sha256()
+for case in "ABCD":
+    for dsm in (False, True):
+        r = solve_milp(build_model(synth_case(case, dsm, ref))[0])
+        h.update(f"{case} {dsm} {r.status} {r.nodes_explored} {r.lp_iterations} "
+                 f"{float(r.objective).hex()}".encode())
+        h.update(r.values.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_hourly_sweep_bit_identical_across_blas_threads():
+    """The eight hourly reference solves hash the same with 1 and 2 OpenBLAS
+    threads, each run in a fresh interpreter."""
+    src = str(Path(hems.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _SWEEP_DIGEST, str(HOURLY)],
+            env=env, capture_output=True, text=True, check=True, timeout=600,
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from hems.cli import main
 from hems.io import schedule_from_csv, schedule_to_csv
 from hems.scenario import load_scenario, save_scenario, synth_case
-from hems.formulation import solve_scenario
+from hems.formulation import build_model, solve_scenario
 from hems.validation import audit
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -64,6 +64,16 @@ def test_solve_infeasible_ev_exits_nonzero(runner, tmp_path):
     assert result.exit_code == 1
     assert "infeasible" in result.output
     assert "ev" in result.output.lower()
+
+
+def test_solve_dump_lp_writes_the_solved_model(runner, tmp_path):
+    out = tmp_path / "runs"
+    result = runner.invoke(
+        main, ["solve", HOURLY, "--case", "C", "--dsm", "on", "--out", str(out), "--dump-lp"]
+    )
+    assert result.exit_code == 0, result.output
+    model, _ = build_model(synth_case("C", True, load_scenario(HOURLY)))
+    assert (out / "model_C_dsm.lp").read_text() == model.to_lp_text()
 
 
 def test_solve_rejects_bad_scenario(runner, tmp_path):
