@@ -1,7 +1,7 @@
 """Command-line front end: solve scenarios, run the case sweep, validate
 schedule files.
 
-Exit codes: 0 optimal/pass, 1 infeasible/unbounded/limit/audit-fail,
+Exit codes: 0 optimal/pass, 1 infeasible/unbounded/limit/numerical/audit-fail,
 2 usage or parse errors.
 """
 

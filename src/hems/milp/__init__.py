@@ -5,6 +5,7 @@ from .branch_bound import MilpOptions, solve_milp
 from .model import (
     INFEASIBLE,
     ITERATION_LIMIT,
+    NUMERICAL,
     OPTIMAL,
     UNBOUNDED,
     LinearConstraint,
@@ -28,5 +29,6 @@ __all__ = [
     "INFEASIBLE",
     "UNBOUNDED",
     "ITERATION_LIMIT",
+    "NUMERICAL",
     "DEFAULT_LP_ITERATION_LIMIT",
 ]

@@ -33,6 +33,7 @@ import numpy as np
 from .model import (
     INFEASIBLE,
     ITERATION_LIMIT,
+    NUMERICAL,
     OPTIMAL,
     UNBOUNDED,
     MILPModel,
@@ -92,8 +93,10 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
     """Minimize the model over its binary variables.
 
     Returns status "optimal" with the incumbent proven within `gap_tol`,
-    "infeasible"/"unbounded" from the root relaxation, or "iteration_limit"
-    with the best incumbent found when a node or LP budget runs out.
+    "infeasible"/"unbounded" from the root relaxation, "iteration_limit"
+    with the best incumbent found when a node or LP budget runs out, or
+    "numerical" with the best incumbent found when a node LP fails
+    numerically (a simplex failure, or an unbounded LP below a bounded root).
     """
     opts = options or MilpOptions()
 
@@ -123,13 +126,13 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
     heap: list[tuple[int, int, int, float, _Node]] = []
     heapq.heappush(heap, (key(-math.inf), 0, next(seq), -math.inf, _Node(lo, hi, 0)))
 
-    limit_hit = False
+    stop = None   # ITERATION_LIMIT or NUMERICAL when the search ends early
     while heap:
         _, _, _, bound, node = heapq.heappop(heap)
         if incumbent is not None and bound >= best_obj - opts.gap_tol:
             continue
         if nodes_explored >= opts.node_limit:
-            limit_hit = True
+            stop = ITERATION_LIMIT
             break
         nodes_explored += 1
 
@@ -140,12 +143,12 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
             lp_iterations += res.iterations
             if res.status == INFEASIBLE:
                 continue
-            if res.status == UNBOUNDED:
-                if node.depth > 0:
-                    raise RuntimeError("bounded parent produced an unbounded child")
+            if res.status == UNBOUNDED and node.depth == 0:
                 return MILPSolution(UNBOUNDED, res.x, -math.inf, nodes_explored, lp_iterations)
-            if res.status == ITERATION_LIMIT:
-                limit_hit = True
+            if res.status != OPTIMAL:
+                # Short of the LP budget, this is numerical trouble: the
+                # simplex's own, or an unbounded child of a bounded parent.
+                stop = ITERATION_LIMIT if res.status == ITERATION_LIMIT else NUMERICAL
                 break
             x, obj = res.x, res.objective
             if node.depth == 0:
@@ -192,10 +195,7 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
             heapq.heappush(heap, (key(obj), -child.depth, next(seq), obj, child))
 
     if incumbent is not None:
-        status = ITERATION_LIMIT if limit_hit else OPTIMAL
-        return MILPSolution(status, incumbent, best_obj, nodes_explored, lp_iterations)
-    if limit_hit:
-        return MILPSolution(
-            ITERATION_LIMIT, np.zeros(n), math.nan, nodes_explored, lp_iterations
-        )
+        return MILPSolution(stop or OPTIMAL, incumbent, best_obj, nodes_explored, lp_iterations)
+    if stop is not None:
+        return MILPSolution(stop, np.zeros(n), math.nan, nodes_explored, lp_iterations)
     return MILPSolution(INFEASIBLE, np.zeros(n), math.nan, nodes_explored, lp_iterations)

@@ -22,6 +22,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
+NUMERICAL = "numerical"  # the solver's arithmetic broke an invariant of the method
 
 
 class ModelError(ValueError):
@@ -50,8 +51,8 @@ class MILPSolution:
     """Result of an LP or MILP solve.
 
     `values` holds one entry per model variable. It is only meaningful when
-    `status` is "optimal", or "iteration_limit" with an incumbent (then
-    `objective` is finite).
+    `status` is "optimal", or "iteration_limit"/"numerical" with an
+    incumbent (then `objective` is finite).
     """
 
     status: str

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The sweep-based criteria use
 the hourly reference scenario (the speed variant shipped alongside the
-half-hour one); the half-hour configuration is exercised by the slower
-opt-in test at the bottom.
+half-hour one); the half-hour configuration is exercised by the sweep test
+at the bottom.
 """
 
 import math
@@ -206,12 +206,8 @@ def test_c9_lp_engine_vs_vertex_oracle():
     _report("9 lp-engine", f"({n_optimal} optimal, {n_infeasible} infeasible, 0 cycling)")
 
 
-@pytest.mark.slow
 def test_halfhour_reference_sweep(halfhour_reference):
-    """Half-hour reference (exact 1.5 h delay tolerances): same orderings.
-
-    Slow (runs for minutes on modest hardware); opt in with `-m slow`.
-    """
+    """Half-hour reference (exact 1.5 h delay tolerances): same orderings."""
     bills = {}
     for case in "ABCD":
         for dsm in (False, True):

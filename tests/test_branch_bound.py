@@ -14,18 +14,22 @@ from hems.formulation import build_model
 from hems.milp import (
     INFEASIBLE,
     ITERATION_LIMIT,
+    NUMERICAL,
     OPTIMAL,
+    UNBOUNDED,
     MILPModel,
     MilpOptions,
     solve_lp,
     solve_milp,
 )
-from hems.milp.simplex import CompiledLP
+from hems.milp.simplex import CompiledLP, SimplexResult
 from hems.scenario import synth_case
 
 from lp_oracle import random_boxed_lp
 
-HOURLY = Path(__file__).resolve().parent.parent / "scenarios" / "reference_hourly.yaml"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+HOURLY = SCENARIOS / "reference_hourly.yaml"
+HALFHOUR = SCENARIOS / "reference_halfhour.yaml"
 
 
 def enumerate_milp(model: MILPModel) -> tuple[str, float]:
@@ -80,21 +84,35 @@ def test_all_binaries_fixed_reduces_to_lp():
     assert np.array_equal(milp.values, lp.values)
 
 
-def test_knapsack_matches_exhaustive_enumeration():
-    values = [9, 11, 13, 15, 6, 4, 10, 7]
-    weights = [3, 4, 5, 6, 2, 1, 4, 3]
-    cap = 12
+_KNAPSACK_VALUES = [9, 11, 13, 15, 6, 4, 10, 7]
+_KNAPSACK_WEIGHTS = [3, 4, 5, 6, 2, 1, 4, 3]
+_KNAPSACK_CAP = 12
+
+
+def _knapsack() -> MILPModel:
     m = MILPModel()
     ids = [m.add_binary(f"item{i}") for i in range(8)]
-    m.add_constraint([(ids[i], float(weights[i])) for i in range(8)], "<=", float(cap), "w")
-    m.set_objective([(ids[i], -float(values[i])) for i in range(8)])
+    m.add_constraint(
+        [(ids[i], float(_KNAPSACK_WEIGHTS[i])) for i in range(8)], "<=", float(_KNAPSACK_CAP), "w"
+    )
+    m.set_objective([(ids[i], -float(_KNAPSACK_VALUES[i])) for i in range(8)])
+    return m
+
+
+def _knapsack_optimum() -> float:
+    return min(
+        -sum(v * s for v, s in zip(_KNAPSACK_VALUES, pick))
+        for pick in itertools.product((0, 1), repeat=8)
+        if sum(w * s for w, s in zip(_KNAPSACK_WEIGHTS, pick)) <= _KNAPSACK_CAP
+    )
+
+
+def test_knapsack_matches_exhaustive_enumeration():
+    m = _knapsack()
+    ids = m.binary_ids()
     r = solve_milp(m)
 
-    best = min(
-        -sum(v * s for v, s in zip(values, pick))
-        for pick in itertools.product((0, 1), repeat=8)
-        if sum(w * s for w, s in zip(weights, pick)) <= cap
-    )
+    best = _knapsack_optimum()
     assert r.status == OPTIMAL
     assert r.objective == pytest.approx(best, abs=1e-9)
     chosen = r.values[: len(ids)]
@@ -213,6 +231,43 @@ def test_round_fails_when_neither_value_fits():
     assert branch_bound._round(core, np.array([0.4, 0.4]), np.array([1])) is None
 
 
+@pytest.mark.parametrize("child_status", [NUMERICAL, UNBOUNDED])
+def test_failed_child_lp_returns_numerical_with_incumbent(monkeypatch, child_status):
+    """A node LP below the root that fails numerically, or is unbounded under
+    a bounded root, stops the search with status numerical and keeps the
+    incumbent the root's rounding found."""
+    original = branch_bound.solve_compiled
+    calls = []
+
+    def fail_below_root(*args, **kwargs):
+        res = original(*args, **kwargs)
+        calls.append(res.status)
+        if len(calls) == 1:
+            return res
+        return SimplexResult(child_status, res.x, math.nan, res.iterations)
+
+    monkeypatch.setattr(branch_bound, "solve_compiled", fail_below_root)
+    m = _knapsack()
+    r = solve_milp(m)
+    assert calls[0] == OPTIMAL and len(calls) == 2
+    assert r.status == NUMERICAL
+    assert math.isfinite(r.objective)
+    assert r.objective == pytest.approx(m.objective_value(r.values), abs=1e-9)
+    assert m.max_violation(r.values) <= 1e-9
+    assert r.objective >= _knapsack_optimum() - 1e-9
+
+
+def test_failed_root_lp_returns_numerical_without_incumbent(monkeypatch):
+    def fail(core, lower, upper, *args, **kwargs):
+        return SimplexResult(NUMERICAL, np.zeros(core.n), math.nan, 3)
+
+    monkeypatch.setattr(branch_bound, "solve_compiled", fail)
+    r = solve_milp(_knapsack())
+    assert r.status == NUMERICAL
+    assert math.isnan(r.objective)
+    assert (r.nodes_explored, r.lp_iterations) == (1, 3)
+
+
 @pytest.mark.parametrize("dsm", [False, True])
 @pytest.mark.parametrize("case", "ABCD")
 def test_lp_iterations_count_every_lp(monkeypatch, hourly_reference, case, dsm):
@@ -238,30 +293,35 @@ def test_rounding_closes_the_root_without_dsm(monkeypatch, hourly_reference, cas
 _SWEEP_DIGEST = """
 import hashlib, sys
 from hems.formulation import build_model
-from hems.milp import solve_milp
+from hems.milp import solve_lp, solve_milp
 from hems.scenario import load_scenario, synth_case
+
+def digest(h, tag, r):
+    h.update(f"{tag} {r.status} {r.nodes_explored} {r.lp_iterations} "
+             f"{float(r.objective).hex()}".encode())
+    h.update(r.values.tobytes())
 
 ref = load_scenario(sys.argv[1])
 h = hashlib.sha256()
 for case in "ABCD":
     for dsm in (False, True):
-        r = solve_milp(build_model(synth_case(case, dsm, ref))[0])
-        h.update(f"{case} {dsm} {r.status} {r.nodes_explored} {r.lp_iterations} "
-                 f"{float(r.objective).hex()}".encode())
-        h.update(r.values.tobytes())
+        digest(h, f"{case} {dsm}", solve_milp(build_model(synth_case(case, dsm, ref))[0]))
+halfhour = load_scenario(sys.argv[2])
+digest(h, "halfhour D root", solve_lp(build_model(synth_case("D", False, halfhour))[0]))
 print(h.hexdigest())
 """
 
 
 def test_hourly_sweep_bit_identical_across_blas_threads():
-    """The eight hourly reference solves hash the same with 1 and 2 OpenBLAS
-    threads, each run in a fresh interpreter."""
+    """The eight hourly reference solves, and the half-hour D DSM-off root LP
+    (530 rows, where OpenBLAS starts to split work across threads), hash the
+    same with 1 and 2 OpenBLAS threads, each run in a fresh interpreter."""
     src = str(Path(hems.__file__).resolve().parent.parent)
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         out = subprocess.run(
-            [sys.executable, "-c", _SWEEP_DIGEST, str(HOURLY)],
+            [sys.executable, "-c", _SWEEP_DIGEST, str(HOURLY), str(HALFHOUR)],
             env=env, capture_output=True, text=True, check=True, timeout=600,
         )
         digests.append(out.stdout.strip())

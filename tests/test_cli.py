@@ -66,6 +66,25 @@ def test_solve_infeasible_ev_exits_nonzero(runner, tmp_path):
     assert "ev" in result.output.lower()
 
 
+def test_solve_numerical_failure_exits_nonzero(runner, tmp_path, monkeypatch):
+    import numpy as np
+
+    import hems.milp.branch_bound as branch_bound
+    from hems.milp import NUMERICAL
+    from hems.milp.simplex import SimplexResult
+
+    def fail(core, lower, upper, *args, **kwargs):
+        return SimplexResult(NUMERICAL, np.zeros(core.n), float("nan"), 0)
+
+    monkeypatch.setattr(branch_bound, "solve_compiled", fail)
+    result = runner.invoke(
+        main, ["solve", HOURLY, "--case", "A", "--dsm", "off", "--out", str(tmp_path / "r")]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "case=A dsm=off status=numerical" in result.output
+
+
 def test_solve_dump_lp_writes_the_solved_model(runner, tmp_path):
     out = tmp_path / "runs"
     result = runner.invoke(

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,3 +182,88 @@ def test_perturbation_optimality_certificate():
         hi = base.objective + delta * base.values[j]
         assert lo - 1e-6 <= other.objective <= hi + 1e-6
         checked += 1
+
+
+def _sparse_boxed_lp(rng: np.random.Generator, m: int, kind: str) -> MILPModel:
+    """Random boxed LP with m rows, 1.5m columns and about 1% density.
+
+    Rows are built around a random interior point, so the LP is feasible;
+    "unbounded" adds a cheap open ray, "infeasible" a row no box point can
+    reach. A third of the rows are equalities, whose artificials phase 1
+    must drive out.
+    """
+    n = int(1.5 * m)
+    model = MILPModel(f"sparse_{kind}")
+    lo = rng.integers(-5, 1, n).astype(float)
+    hi = lo + rng.integers(1, 11, n)
+    for j in range(n):
+        model.add_continuous(f"x{j}", lo[j], hi[j])
+    x0 = rng.uniform(lo, hi)
+    per_row = max(2, round(0.01 * n))
+    for i in range(m):
+        vids = rng.choice(n, size=per_row, replace=False)
+        coefs = rng.uniform(0.5, 5.0, per_row) * rng.choice((-1.0, 1.0), per_row)
+        sense = ("<=", ">=", "=")[i % 3]
+        slack = {"<=": 1.0, ">=": -1.0, "=": 0.0}[sense] * rng.uniform(0.0, 2.0)
+        rhs = float(coefs @ x0[vids]) + slack
+        model.add_constraint(list(zip(vids.tolist(), coefs.tolist())), sense, rhs, f"r{i}")
+    obj = list(enumerate(rng.uniform(-10.0, 10.0, n).tolist()))
+    if kind == "unbounded":
+        u = model.add_continuous("u", 0.0, math.inf)
+        model.add_constraint([(0, 1.0), (u, -1.0)], "<=", float(hi[0]), "open")
+        obj.append((u, -0.001))
+    elif kind == "infeasible":
+        vids = rng.choice(n, size=per_row, replace=False)
+        reach = float(hi[vids].sum())
+        model.add_constraint([(int(v), 1.0) for v in vids], ">=", reach + 1.0, "unreachable")
+    model.set_objective(obj)
+    return model
+
+
+def _highs(model: MILPModel):
+    from scipy.optimize import linprog
+
+    A = np.zeros((model.num_constraints, model.num_variables))
+    b = np.zeros(model.num_constraints)
+    for i, con in enumerate(model.constraints):
+        for vid, coef in con.terms:
+            A[i, vid] = -coef if con.sense == ">=" else coef
+        b[i] = -con.rhs if con.sense == ">=" else con.rhs
+    eq = np.array([con.sense == "=" for con in model.constraints])
+    lo, hi = model.bounds_arrays()
+    bounds = [(l, None if math.isinf(h) else h) for l, h in zip(lo, hi)]
+    return linprog(model.objective_vector(), A_ub=A[~eq], b_ub=b[~eq], A_eq=A[eq], b_eq=b[eq],
+                   bounds=bounds, method="highs")
+
+
+def test_mid_size_sparse_lps_match_highs():
+    """Sparse LPs long enough (over 300 iterations each) to pass the periodic
+    refresh every 100 pivots and the 300-pivot threshold of the
+    refactor-on-verify check, where the incrementally updated reduced costs
+    are recomputed."""
+    rng = np.random.default_rng(2026)
+    expected = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}  # linprog status codes
+    for m, kind in ((200, "optimal"), (280, "optimal"), (380, "optimal"),
+                    (240, "unbounded"), (320, "infeasible")):
+        model = _sparse_boxed_lp(rng, m, kind)
+        ours = solve_lp(model)
+        ref = _highs(model)
+        assert expected[ref.status] == kind
+        assert ours.status == kind, (m, kind)
+        assert ours.lp_iterations > 300, (m, kind, ours.lp_iterations)
+        if kind == OPTIMAL:
+            assert ours.objective == pytest.approx(ref.fun, abs=1e-6 * (1 + abs(ref.fun)))
+            assert model.max_violation(ours.values) <= 1e-6
+
+
+def test_import_does_not_load_scipy():
+    """scipy is a test-only dependency: the package must not import it."""
+    import hems
+
+    src = str(Path(hems.__file__).resolve().parent.parent)
+    code = "import sys, hems; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
