@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .formulation import build_model, compute_cost, extract_schedule
+from .formulation import solve_scenario
 from .io import (
     SWEEP_SCHEMA,
     cost_to_mapping,
@@ -25,7 +25,7 @@ from .io import (
     write_json,
     ScheduleCSVError,
 )
-from .milp import MilpOptions, OPTIMAL, solve_milp
+from .milp import MilpOptions, OPTIMAL
 from .scenario import CASES, Scenario, ScenarioError, load_scenario, synth_case
 from .validation import audit, diagnose_infeasibility
 
@@ -39,87 +39,74 @@ def _load(path: Path) -> Scenario:
         raise click.UsageError(str(exc))
 
 
-def _options(node_limit, lp_iteration_limit, integrality_tol, gap_tol) -> MilpOptions:
-    base = MilpOptions()
-    return MilpOptions(
-        node_limit=node_limit if node_limit is not None else base.node_limit,
-        lp_iteration_limit=(
-            lp_iteration_limit if lp_iteration_limit is not None else base.lp_iteration_limit
-        ),
-        integrality_tol=(
-            integrality_tol if integrality_tol is not None else base.integrality_tol
-        ),
-        gap_tol=gap_tol if gap_tol is not None else base.gap_tol,
-    )
-
-
-def _run_case(scenario: Scenario, case: str, dsm: bool, opts: MilpOptions):
-    """Solve one (case, dsm) combination; returns a result dict."""
-    sc = synth_case(case, dsm, scenario)
-    model, varmap = build_model(sc)
-    t0 = time.perf_counter()
-    solution = solve_milp(model, opts)
-    elapsed = time.perf_counter() - t0
-    out = {
-        "case": case,
-        "dsm": dsm,
-        "status": solution.status,
-        "solution": solution,
-        "seconds": elapsed,
-        "scenario": sc,
-        "model": model,
-    }
-    if solution.status == OPTIMAL:
-        schedule = extract_schedule(sc, varmap, solution)
-        cost = compute_cost(schedule, sc.tariff, sc.penalties, sc.grid.dt)
-        out["schedule"] = schedule
-        out["cost"] = cost
-        out["exported_kwh"] = float(np.sum(schedule.grid_sell) * sc.grid.dt)
-        out["imported_kwh"] = float(np.sum(schedule.grid_buy) * sc.grid.dt)
-    return out
-
-
-def _print_result(res: dict) -> None:
-    label = f"case={res['case']} dsm={'on' if res['dsm'] else 'off'}"
-    if res["status"] == OPTIMAL:
-        cost = res["cost"]
-        sol = res["solution"]
-        click.echo(
-            f"{label} status=optimal bill={cost.bill:.3f}c "
-            f"penalty={cost.penalty:.6f}c objective={cost.objective:.3f}c "
-            f"exported={res['exported_kwh']:.3f}kWh "
-            f"nodes={sol.nodes_explored} lp_iterations={sol.lp_iterations} "
-            f"({res['seconds']:.2f}s)"
-        )
-    else:
-        click.echo(f"{label} status={res['status']}")
-        for hint in diagnose_infeasibility(res["scenario"]):
-            click.echo(f"  hint: {hint}")
-
-
-def _write_artifacts(res: dict, out_dir: Path, origin_hour: float) -> None:
-    tag = f"{res['case']}_{'dsm' if res['dsm'] else 'nodsm'}"
-    if res["status"] != OPTIMAL:
-        return
-    schedule_to_csv(res["schedule"], res["scenario"], out_dir / f"schedule_{tag}.csv", origin_hour)
-    sol = res["solution"]
-    write_json(
-        cost_to_mapping(
-            res["cost"],
-            res["exported_kwh"],
-            res["imported_kwh"],
-            sol.status,
-            sol.nodes_explored,
-            sol.lp_iterations,
-            case=res["case"],
-            dsm=res["dsm"],
-        ),
-        out_dir / f"costs_{tag}.json",
-    )
-
-
 def _dsm_flags(dsm: str) -> list[bool]:
     return {"on": [True], "off": [False], "both": [False, True]}[dsm]
+
+
+def _solve_cases(
+    scenario: Scenario,
+    cases: list[str],
+    dsm: str,
+    out_dir: Path,
+    origin_hour: float,
+    opts: MilpOptions,
+    dump_lp: bool = False,
+) -> list[tuple[dict, str]]:
+    """Solve every (case, dsm) combination through `solve_scenario`, print
+    each outcome and write its artifacts: schedule and costs when optimal,
+    the LP text on request.
+
+    Returns, per run, its stats.json entry (seconds cover build + solve +
+    decode) and its summary.csv row (money columns empty unless optimal).
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    runs = []
+    for case in cases:
+        for flag in _dsm_flags(dsm):
+            sc = synth_case(case, flag, scenario)
+            t0 = time.perf_counter()
+            result = solve_scenario(sc, opts)
+            seconds = time.perf_counter() - t0
+            sol, cost, schedule = result.solution, result.cost, result.schedule
+            label = f"case={case} dsm={'on' if flag else 'off'}"
+            tag = f"{case}_{'dsm' if flag else 'nodsm'}"
+            if dump_lp:
+                result.model.write_lp(out_dir / f"model_{tag}.lp")
+            money = ",,,"
+            if cost is None:
+                click.echo(f"{label} status={sol.status}")
+                for hint in diagnose_infeasibility(sc):
+                    click.echo(f"  hint: {hint}")
+            else:
+                exported = float(np.sum(schedule.grid_sell) * sc.grid.dt)
+                imported = float(np.sum(schedule.grid_buy) * sc.grid.dt)
+                click.echo(
+                    f"{label} status=optimal bill={cost.bill:.3f}c "
+                    f"penalty={cost.penalty:.6f}c objective={cost.objective:.3f}c "
+                    f"exported={exported:.3f}kWh "
+                    f"nodes={sol.nodes_explored} lp_iterations={sol.lp_iterations} "
+                    f"({seconds:.2f}s)"
+                )
+                schedule_to_csv(schedule, sc, out_dir / f"schedule_{tag}.csv", origin_hour)
+                write_json(
+                    cost_to_mapping(
+                        cost, exported, imported, sol.status, sol.nodes_explored,
+                        sol.lp_iterations, case=case, dsm=flag,
+                    ),
+                    out_dir / f"costs_{tag}.json",
+                )
+                money = f"{cost.bill:.6f},{cost.penalty:.6f},{cost.objective:.6f},{exported:.6f}"
+            stats = {"case": case, "dsm": flag, "status": sol.status, "seconds": seconds}
+            row = (
+                f"{case},{'on' if flag else 'off'},{sol.status},{money},"
+                f"{sol.nodes_explored},{sol.lp_iterations}"
+            )
+            runs.append((stats, row))
+    return runs
+
+
+def _exit_code(runs: list[tuple[dict, str]]) -> int:
+    return 0 if all(stats["status"] == OPTIMAL for stats, _ in runs) else 1
 
 
 @click.group()
@@ -138,28 +125,19 @@ def main() -> None:
               default=Path("runs"), show_default=True, help="Artifact directory.")
 @click.option("--origin-hour", type=float, default=20.0, show_default=True,
               help="Wall-clock hour of interval 0 (labels output rows).")
-@click.option("--node-limit", type=int, default=None, help="Branch-and-bound node cap.")
-@click.option("--lp-iteration-limit", type=int, default=None, help="Simplex pivot cap per LP.")
-@click.option("--integrality-tol", type=float, default=None)
-@click.option("--gap-tol", type=float, default=None)
+@click.option("--node-limit", type=int, default=MilpOptions().node_limit, show_default=True,
+              help="Branch-and-bound node cap.")
+@click.option("--lp-iteration-limit", type=int, default=MilpOptions().lp_iteration_limit,
+              show_default=True, help="Simplex pivot cap per LP.")
 @click.option("--dump-lp", is_flag=True, default=False,
               help="Also write 'model_<tag>.lp' (LP text format) for external solvers.")
 def solve(scenario_file, case, dsm, out_dir, origin_hour, node_limit,
-          lp_iteration_limit, integrality_tol, gap_tol, dump_lp):
+          lp_iteration_limit, dump_lp):
     """Solve one scenario case and write schedule/cost artifacts."""
     scenario = _load(scenario_file)
-    opts = _options(node_limit, lp_iteration_limit, integrality_tol, gap_tol)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ok = True
-    for flag in _dsm_flags(dsm):
-        res = _run_case(scenario, case.upper(), flag, opts)
-        _print_result(res)
-        _write_artifacts(res, out_dir, origin_hour)
-        if dump_lp:
-            tag = f"{res['case']}_{'dsm' if res['dsm'] else 'nodsm'}"
-            res["model"].write_lp(out_dir / f"model_{tag}.lp")
-        ok = ok and res["status"] == OPTIMAL
-    sys.exit(0 if ok else 1)
+    opts = MilpOptions(node_limit=node_limit, lp_iteration_limit=lp_iteration_limit)
+    runs = _solve_cases(scenario, [case.upper()], dsm, out_dir, origin_hour, opts, dump_lp)
+    sys.exit(_exit_code(runs))
 
 
 @main.command()
@@ -171,12 +149,10 @@ def solve(scenario_file, case, dsm, out_dir, origin_hour, node_limit,
 @click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
               default=Path("runs"), show_default=True)
 @click.option("--origin-hour", type=float, default=20.0, show_default=True)
-@click.option("--node-limit", type=int, default=None)
-@click.option("--lp-iteration-limit", type=int, default=None)
-@click.option("--integrality-tol", type=float, default=None)
-@click.option("--gap-tol", type=float, default=None)
-def sweep(scenario_file, cases, dsm, out_dir, origin_hour, node_limit,
-          lp_iteration_limit, integrality_tol, gap_tol):
+@click.option("--node-limit", type=int, default=MilpOptions().node_limit, show_default=True)
+@click.option("--lp-iteration-limit", type=int, default=MilpOptions().lp_iteration_limit,
+              show_default=True)
+def sweep(scenario_file, cases, dsm, out_dir, origin_hour, node_limit, lp_iteration_limit):
     """Run the case-study sweep and write a summary table.
 
     The summary CSV is deterministic (byte-identical across runs); wall-clock
@@ -195,49 +171,19 @@ def sweep(scenario_file, cases, dsm, out_dir, origin_hour, node_limit,
         bad = [c for c in case_list if c not in CASES]
         if bad:
             raise click.UsageError(f"unknown case(s) {bad}; choose from {list(CASES)}")
-    opts = _options(node_limit, lp_iteration_limit, integrality_tol, gap_tol)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    opts = MilpOptions(node_limit=node_limit, lp_iteration_limit=lp_iteration_limit)
+    runs = _solve_cases(scenario, case_list, dsm, out_dir, origin_hour, opts)
 
-    results = []
-    for case in case_list:
-        for flag in _dsm_flags(dsm):
-            res = _run_case(scenario, case, flag, opts)
-            _print_result(res)
-            _write_artifacts(res, out_dir, origin_hour)
-            results.append(res)
-
-    lines = [f"# schema: {SWEEP_SCHEMA}"]
-    lines.append(
+    lines = [
+        f"# schema: {SWEEP_SCHEMA}",
         "case,dsm,status,bill_cents,penalty_cents,objective_cents,"
-        "exported_kwh,nodes,lp_iterations"
-    )
-    for res in results:
-        sol = res["solution"]
-        if res["status"] == OPTIMAL:
-            cost = res["cost"]
-            lines.append(
-                f"{res['case']},{'on' if res['dsm'] else 'off'},{res['status']},"
-                f"{cost.bill:.6f},{cost.penalty:.6f},{cost.objective:.6f},"
-                f"{res['exported_kwh']:.6f},{sol.nodes_explored},{sol.lp_iterations}"
-            )
-        else:
-            lines.append(
-                f"{res['case']},{'on' if res['dsm'] else 'off'},{res['status']},"
-                f",,,,{sol.nodes_explored},{sol.lp_iterations}"
-            )
+        "exported_kwh,nodes,lp_iterations",
+        *(row for _, row in runs),
+    ]
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
-    write_json(
-        {
-            "runs": [
-                {"case": r["case"], "dsm": r["dsm"], "status": r["status"],
-                 "seconds": r["seconds"]}
-                for r in results
-            ]
-        },
-        out_dir / "stats.json",
-    )
+    write_json({"runs": [stats for stats, _ in runs]}, out_dir / "stats.json")
     click.echo(f"summary written to {out_dir / 'summary.csv'}")
-    sys.exit(0 if all(r["status"] == OPTIMAL for r in results) else 1)
+    sys.exit(_exit_code(runs))
 
 
 @main.command()

@@ -84,9 +84,13 @@ class CostBreakdown:
 
 @dataclass(eq=False)
 class ScenarioResult:
-    schedule: Schedule
-    cost: CostBreakdown
+    """One solved household-day. `schedule` and `cost` are None unless the
+    solver status is optimal."""
+
+    model: MILPModel
     solution: MILPSolution
+    schedule: Schedule | None
+    cost: CostBreakdown | None
 
 
 def shift_destinations(T: int, src: int, adt_intervals: int) -> range:
@@ -369,14 +373,15 @@ def compute_cost(
 def solve_scenario(
     scenario: Scenario, options: MilpOptions | None = None
 ) -> ScenarioResult:
-    """Build, solve and decode a scenario in one call.
+    """Build, solve and decode a scenario: the one pipeline behind the CLI.
 
-    Raises ValueError (from extract_schedule) when the solve does not reach
-    optimality; callers that need the raw status should use build_model and
-    solve_milp directly.
+    Never raises on a solver outcome: the status is `result.solution.status`,
+    and the schedule and cost are decoded only when it is optimal.
     """
     model, varmap = build_model(scenario)
     solution = solve_milp(model, options)
+    if solution.status != OPTIMAL:
+        return ScenarioResult(model, solution, None, None)
     schedule = extract_schedule(scenario, varmap, solution)
     cost = compute_cost(schedule, scenario.tariff, scenario.penalties, scenario.grid.dt)
-    return ScenarioResult(schedule=schedule, cost=cost, solution=solution)
+    return ScenarioResult(model, solution, schedule, cost)

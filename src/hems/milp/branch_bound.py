@@ -3,6 +3,8 @@
 Best-bound node selection (ties: deeper node, then insertion order) and
 most-fractional branching (ties: lowest variable id). Node LPs are solved by
 the bounded-variable simplex with the branching decisions applied as bounds.
+A binary counts as integral within INTEGRALITY_TOL, and the search proves
+optimality within GAP_TOL; both are fixed.
 
 Two LP-free steps work on each node's optimal point:
 
@@ -41,11 +43,12 @@ from .model import (
 )
 from .simplex import DEFAULT_LP_ITERATION_LIMIT, FEAS_TOL, CompiledLP, solve_compiled
 
+INTEGRALITY_TOL = 1e-6   # distance from 0/1 below which a binary is integral
+GAP_TOL = 1e-9           # absolute objective gap that proves optimality
+
 
 @dataclass(frozen=True)
 class MilpOptions:
-    integrality_tol: float = 1e-6
-    gap_tol: float = 1e-9
     node_limit: int = 1_000_000
     lp_iteration_limit: int = DEFAULT_LP_ITERATION_LIMIT
 
@@ -92,7 +95,7 @@ def _round(core: CompiledLP, x: np.ndarray, frac_ids: np.ndarray) -> np.ndarray 
 def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolution:
     """Minimize the model over its binary variables.
 
-    Returns status "optimal" with the incumbent proven within `gap_tol`,
+    Returns status "optimal" with the incumbent proven within GAP_TOL,
     "infeasible"/"unbounded" from the root relaxation, "iteration_limit"
     with the best incumbent found when a node or LP budget runs out, or
     "numerical" with the best incumbent found when a node LP fails
@@ -111,25 +114,16 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
     best_obj = math.inf
     seq = itertools.count()
 
-    # Heap entries: (quantized bound, -depth, seq, bound, node). The bound of
-    # an unsolved node is its parent's LP objective, a valid lower bound since
-    # children are restrictions of the parent. Quantizing the key makes bounds
-    # that differ only by solver noise compare equal, so the deeper-first
-    # tie-break can dive towards an incumbent instead of sweeping a plateau of
-    # alternate optima breadth-first. The grain is set from the root objective
-    # scale once known; pruning always uses the exact bounds and gap_tol.
-    grain = max(opts.gap_tol, 1e-12)
-
-    def key(bound: float) -> int:
-        return -(2**62) if bound == -math.inf else int(round(bound / grain))
-
-    heap: list[tuple[int, int, int, float, _Node]] = []
-    heapq.heappush(heap, (key(-math.inf), 0, next(seq), -math.inf, _Node(lo, hi, 0)))
+    # Heap entries: (bound, -depth, seq, node). The bound of an unsolved node
+    # is its parent's LP objective, a valid lower bound since children are
+    # restrictions of the parent.
+    heap: list[tuple[float, int, int, _Node]] = []
+    heapq.heappush(heap, (-math.inf, 0, next(seq), _Node(lo, hi, 0)))
 
     stop = None   # ITERATION_LIMIT or NUMERICAL when the search ends early
     while heap:
-        _, _, _, bound, node = heapq.heappop(heap)
-        if incumbent is not None and bound >= best_obj - opts.gap_tol:
+        bound, _, _, node = heapq.heappop(heap)
+        if incumbent is not None and bound >= best_obj - GAP_TOL:
             continue
         if nodes_explored >= opts.node_limit:
             stop = ITERATION_LIMIT
@@ -151,13 +145,11 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
                 stop = ITERATION_LIMIT if res.status == ITERATION_LIMIT else NUMERICAL
                 break
             x, obj = res.x, res.objective
-            if node.depth == 0:
-                grain = max(opts.gap_tol, 1e-7 * (1.0 + abs(obj)))
 
-        if obj >= best_obj - opts.gap_tol:
+        if obj >= best_obj - GAP_TOL:
             continue
 
-        frac_ids, dist = _fractional(x, binary_ids, opts.integrality_tol)
+        frac_ids, dist = _fractional(x, binary_ids, INTEGRALITY_TOL)
         if frac_ids.size == 0:
             # Integral: new incumbent (strict improvement keeps the first
             # solution found among ties, deterministically).
@@ -172,7 +164,7 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
             if rounded_obj < best_obj:
                 best_obj = rounded_obj
                 incumbent = rounded
-                if obj >= best_obj - opts.gap_tol:
+                if obj >= best_obj - GAP_TOL:
                     continue
 
         j = int(frac_ids[np.argmax(dist)])
@@ -192,7 +184,7 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
                 if core.rows_feasible(xt, FEAS_TOL):
                     child.solved_x = xt
                     child.solved_obj = obj + delta_cost
-            heapq.heappush(heap, (key(obj), -child.depth, next(seq), obj, child))
+            heapq.heappush(heap, (obj, -child.depth, next(seq), child))
 
     if incumbent is not None:
         return MILPSolution(stop or OPTIMAL, incumbent, best_obj, nodes_explored, lp_iterations)

@@ -138,8 +138,6 @@ class CompiledLP:
 
     def rows_feasible(self, x_struct: np.ndarray, tol: float = FEAS_TOL) -> bool:
         """Whether a structural point satisfies every row (bounds not checked)."""
-        if self.m == 0:
-            return True
         resid = self.b - self.matvec(x_struct)
         slack_tol = tol * (1.0 + np.abs(self.b))
         return bool(
@@ -165,7 +163,8 @@ def solve_compiled(
     """Solve the LP over the compiled rows with the given structural bounds.
 
     Status "numerical" means the arithmetic broke an invariant the method
-    relies on (a phase-1 objective that decreases without bound).
+    relies on: a phase-1 objective that decreases without bound, or a basis
+    that is singular at refactorization.
     """
     n, m = core.n, core.m
     ntot = n + 2 * m
@@ -186,14 +185,6 @@ def solve_compiled(
     x[:n] = np.where(finite_lo, lo[:n], np.where(finite_hi, hi[:n], 0.0))
     state[:n] = np.where(finite_lo, _AT_LOWER, np.where(finite_hi, _AT_UPPER, _AT_ZERO_FREE))
     state[n : n + m] = np.where(np.isfinite(core.slack_lower), _AT_LOWER, _AT_UPPER)
-
-    if m == 0:
-        # Pure bound minimization: pick the cheapest bound per variable.
-        c = core.cost
-        if np.any((c > 0) & ~np.isfinite(lo[:n])) or np.any((c < 0) & ~np.isfinite(hi[:n])):
-            return SimplexResult(UNBOUNDED, x[:n].copy(), -np.inf, 0)
-        xs = np.where(c > 0, lo[:n], np.where(c < 0, hi[:n], x[:n]))
-        return SimplexResult(OPTIMAL, xs, float(c @ xs), 0)
 
     resid = b - core.matvec(x[:n])
     slack_ok = (resid >= lo[n : n + m]) & (resid <= hi[n : n + m])
@@ -420,9 +411,15 @@ def solve_compiled(
                 bland = False
                 verify_rounds = 0
 
+    def run(cost: np.ndarray, phase: int) -> str:
+        try:
+            return run_phase(cost, phase)
+        except np.linalg.LinAlgError:
+            return NUMERICAL
+
     # Phase 1 only if some row needed an artificial.
     if bool(np.any(need_art)):
-        status = run_phase(phase1_cost, phase=1)
+        status = run(phase1_cost, phase=1)
         if status in (ITERATION_LIMIT, NUMERICAL):
             return SimplexResult(status, x[:n].copy(), float("nan"), iters)
         infeas = float(np.abs(x[art]).sum())
@@ -433,9 +430,9 @@ def solve_compiled(
         hi[art] = 0.0
         x[art] = np.where(np.abs(x[art]) <= feas_eps, 0.0, x[art])
 
-    status = run_phase(phase2_cost, phase=2)
-    if status == ITERATION_LIMIT:
-        return SimplexResult(ITERATION_LIMIT, x[:n].copy(), float("nan"), iters)
+    status = run(phase2_cost, phase=2)
+    if status in (ITERATION_LIMIT, NUMERICAL):
+        return SimplexResult(status, x[:n].copy(), float("nan"), iters)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, x[:n].copy(), -np.inf, iters)
 

@@ -47,23 +47,62 @@ def test_solve_case_b_cheaper_than_a(runner, tmp_path):
     assert b["bill_cents"] <= a["bill_cents"] + 1e-9
 
 
-def test_solve_infeasible_ev_exits_nonzero(runner, tmp_path):
-    scenario = load_scenario(HOURLY)
-    doc_path = tmp_path / "impossible_ev.yaml"
+def write_impossible_ev(tmp_path: Path) -> Path:
+    """The hourly reference with an EV that cannot reach full charge."""
     import yaml
 
     from hems.scenario import scenario_to_mapping
 
-    doc = scenario_to_mapping(scenario)
+    doc = scenario_to_mapping(load_scenario(HOURLY))
     # Unreachable departure target: tiny charger, huge battery.
     doc["ev"]["charge_rate"] = 0.1
     doc["ev"]["soe_max"] = 80.0
     doc["ev"]["soe_init"] = 64.0
+    doc_path = tmp_path / "impossible_ev.yaml"
     doc_path.write_text(yaml.safe_dump(doc))
+    return doc_path
+
+
+def test_solve_infeasible_ev_exits_nonzero(runner, tmp_path):
+    doc_path = write_impossible_ev(tmp_path)
     result = runner.invoke(main, ["solve", str(doc_path), "--out", str(tmp_path / "r")])
     assert result.exit_code == 1
     assert "infeasible" in result.output
     assert "ev" in result.output.lower()
+
+
+def test_sweep_reports_infeasible_run_and_keeps_going(runner, tmp_path):
+    doc_path = write_impossible_ev(tmp_path)
+    out = tmp_path / "s"
+    result = runner.invoke(
+        main, ["sweep", str(doc_path), "--cases", "C,D", "--dsm", "off", "--out", str(out)]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    rows = [l.split(",") for l in (out / "summary.csv").read_text().splitlines()[2:]]
+    assert [r[:3] for r in rows] == [["C", "off", "optimal"], ["D", "off", "infeasible"]]
+    assert rows[1][3:7] == ["", "", "", ""]
+    assert int(rows[1][7]) >= 1 and int(rows[1][8]) > 0
+    assert (out / "schedule_C_nodsm.csv").exists()
+    assert (out / "costs_C_nodsm.json").exists()
+    assert not (out / "schedule_D_nodsm.csv").exists()
+    assert not (out / "costs_D_nodsm.json").exists()
+    stats = json.loads((out / "stats.json").read_text())
+    assert [(r["case"], r["status"]) for r in stats["runs"]] == [
+        ("C", "optimal"), ("D", "infeasible")
+    ]
+
+
+def test_solve_node_limit_exits_nonzero(runner, tmp_path):
+    out = tmp_path / "r"
+    result = runner.invoke(
+        main, ["solve", HOURLY, "--case", "D", "--dsm", "on", "--node-limit", "2",
+               "--out", str(out)]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "case=D dsm=on status=iteration_limit" in result.output
+    assert not (out / "schedule_D_dsm.csv").exists()
 
 
 def test_solve_numerical_failure_exits_nonzero(runner, tmp_path, monkeypatch):

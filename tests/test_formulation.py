@@ -149,6 +149,17 @@ def test_extract_requires_optimal(hourly_reference):
         extract_schedule(sc, varmap, bogus)
 
 
+def test_solve_scenario_reports_infeasible_without_schedule():
+    # The EV cannot charge from empty to full in two intervals at 0.1 kW.
+    ev = EVSpec(small_ess(charge_rate=0.1, soe_init=0.0), arrival=0, departure=1)
+    sc = make_scenario(T=3, ev=ev)
+    result = solve_scenario(sc)
+    assert result.solution.status == "infeasible"
+    assert result.schedule is None
+    assert result.cost is None
+    assert result.model.to_lp_text() == build_model(sc)[0].to_lp_text()
+
+
 def test_shift_decode_lands_block():
     app = ApplianceSpec("dw", (0.0, 0.0, 0.0, 1.2, 0.0, 0.0), adt_hours=2.0)
     sc = make_scenario(T=6, appliances=[app])
@@ -328,9 +339,8 @@ def test_pv_monotonicity_random():
     tried = 0
     while tried < 12:
         sc = random_small_scenario(rng, allow_devices=False)
-        try:
-            base = solve_scenario(sc)
-        except ValueError:
+        base = solve_scenario(sc)
+        if base.schedule is None:
             continue
         bumped_pv = tuple(p + float(rng.uniform(0, 1.5)) for p in sc.pv_gen)
         sc2 = validate(

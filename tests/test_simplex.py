@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hems.milp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED, MILPModel, solve_lp
+from hems.milp import (
+    INFEASIBLE,
+    ITERATION_LIMIT,
+    NUMERICAL,
+    OPTIMAL,
+    UNBOUNDED,
+    MILPModel,
+    solve_lp,
+)
 
 from lp_oracle import enumerate_lp_optimum, random_boxed_lp
 
@@ -43,15 +51,36 @@ def test_no_constraints_bound_minimization():
     r = solve_lp(m)
     assert r.status == OPTIMAL
     assert r.objective == pytest.approx(3.0 - 5.0)
+    assert r.values[x] == 3.0 and r.values[y] == 5.0
+
+    ray = MILPModel()
+    z = ray.add_continuous("z", 0.0, math.inf)
+    ray.set_objective([(z, -1.0)])
+    assert solve_lp(ray).status == UNBOUNDED
 
 
-def test_unbounded_detection():
+def _unbounded_model() -> MILPModel:
     m = MILPModel()
     x = m.add_continuous("x", 0.0, math.inf)
     y = m.add_continuous("y", 0.0, math.inf)
     m.add_constraint([(x, 1.0), (y, -1.0)], "<=", 1.0, "gap")
     m.set_objective([(x, -1.0)])
-    assert solve_lp(m).status == UNBOUNDED
+    return m
+
+
+def test_unbounded_detection():
+    assert solve_lp(_unbounded_model()).status == UNBOUNDED
+
+
+def test_singular_basis_is_numerical(monkeypatch):
+    # The ray check refactorizes the basis before declaring unboundedness.
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    r = solve_lp(_unbounded_model())
+    assert r.status == NUMERICAL
+    assert math.isnan(r.objective)
 
 
 def test_infeasible_detection():
