@@ -25,7 +25,7 @@ from .io import (
     write_json,
     ScheduleCSVError,
 )
-from .milp import MilpOptions, OPTIMAL
+from .milp import INFEASIBLE, OPTIMAL, MilpOptions
 from .scenario import CASES, Scenario, ScenarioError, load_scenario, synth_case
 from .validation import audit, diagnose_infeasibility
 
@@ -73,19 +73,19 @@ def _solve_cases(
             if dump_lp:
                 result.model.write_lp(out_dir / f"model_{tag}.lp")
             money = ",,,"
+            work = f"nodes={sol.nodes_explored} lp_iterations={sol.lp_iterations} ({seconds:.2f}s)"
             if cost is None:
-                click.echo(f"{label} status={sol.status}")
-                for hint in diagnose_infeasibility(sc):
-                    click.echo(f"  hint: {hint}")
+                click.echo(f"{label} status={sol.status} {work}")
+                if sol.status == INFEASIBLE:
+                    for hint in diagnose_infeasibility(sc):
+                        click.echo(f"  hint: {hint}")
             else:
                 exported = float(np.sum(schedule.grid_sell) * sc.grid.dt)
                 imported = float(np.sum(schedule.grid_buy) * sc.grid.dt)
                 click.echo(
                     f"{label} status=optimal bill={cost.bill:.3f}c "
                     f"penalty={cost.penalty:.6f}c objective={cost.objective:.3f}c "
-                    f"exported={exported:.3f}kWh "
-                    f"nodes={sol.nodes_explored} lp_iterations={sol.lp_iterations} "
-                    f"({seconds:.2f}s)"
+                    f"exported={exported:.3f}kWh {work}"
                 )
                 schedule_to_csv(schedule, sc, out_dir / f"schedule_{tag}.csv", origin_hour)
                 write_json(

@@ -8,11 +8,12 @@ optimality within GAP_TOL; both are fixed.
 
 Two LP-free steps work on each node's optimal point:
 
-* Rounding: when the point has fractional binaries, they are visited in
-  ascending id order and each is set to its nearest integer, or else to the
-  other value, keeping the value only if every row still holds. If all of
-  them fit, the rounded point is a feasible solution and becomes the
-  incumbent when its cost improves on it. With cost-free binaries, as in the
+* Rounding: the point's fractional binaries are visited in ascending id
+  order and each is set to its nearest integer, or else to the other value,
+  keeping the value only if every row still holds. If all of them fit, the
+  rounded point is a feasible solution and becomes the incumbent when its
+  cost improves on it; an integral point rounds to itself, so this is the
+  only incumbent update. With cost-free binaries, as in the
   indicator binaries of the home energy model, it costs what the node's LP
   does, so the node closes at once.
 * Exact inheritance: when flipping the branched binary inside the parent's
@@ -41,7 +42,7 @@ from .model import (
     MILPModel,
     MILPSolution,
 )
-from .simplex import DEFAULT_LP_ITERATION_LIMIT, FEAS_TOL, CompiledLP, solve_compiled
+from .simplex import DEFAULT_LP_ITERATION_LIMIT, CompiledLP, solve_compiled
 
 INTEGRALITY_TOL = 1e-6   # distance from 0/1 below which a binary is integral
 GAP_TOL = 1e-9           # absolute objective gap that proves optimality
@@ -62,13 +63,12 @@ class _Node:
     solved_obj: float = math.nan
 
 
-def _fractional(
-    values: np.ndarray, binary_ids: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of the binaries farther than `tol` from integrality, and their distances."""
+def _fractional(values: np.ndarray, binary_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the binaries farther than INTEGRALITY_TOL from integrality, and
+    their distances."""
     v = values[binary_ids]
     dist = np.minimum(np.abs(v), np.abs(1.0 - v))
-    keep = dist > tol
+    keep = dist > INTEGRALITY_TOL
     return binary_ids[keep], dist[keep]
 
 
@@ -76,9 +76,9 @@ def _round(core: CompiledLP, x: np.ndarray, frac_ids: np.ndarray) -> np.ndarray 
     """Round the fractional binaries of `x` one by one in ascending id order,
     nearest integer first, keeping a value only while every row holds.
 
-    Returns the rounded point, or None when some binary fits neither way.
-    A fractional binary is free at its node, so both values respect its
-    bounds.
+    Returns the rounded point (a copy of `x` when there is nothing to round),
+    or None when some binary fits neither way. A fractional binary is free at
+    its node, so both values respect its bounds.
     """
     xt = x.copy()
     for vid in frac_ids:
@@ -149,23 +149,17 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
         if obj >= best_obj - GAP_TOL:
             continue
 
-        frac_ids, dist = _fractional(x, binary_ids, INTEGRALITY_TOL)
-        if frac_ids.size == 0:
-            # Integral: new incumbent (strict improvement keeps the first
-            # solution found among ties, deterministically).
-            if obj < best_obj:
-                best_obj = obj
-                incumbent = x
-            continue
-
+        # An integral point rounds to itself. Strict improvement keeps the
+        # first solution found among ties, deterministically.
+        frac_ids, dist = _fractional(x, binary_ids)
         rounded = _round(core, x, frac_ids)
         if rounded is not None:
             rounded_obj = float(core.cost @ rounded)
             if rounded_obj < best_obj:
                 best_obj = rounded_obj
                 incumbent = rounded
-                if obj >= best_obj - GAP_TOL:
-                    continue
+        if frac_ids.size == 0 or obj >= best_obj - GAP_TOL:
+            continue
 
         j = int(frac_ids[np.argmax(dist)])
         for val in (0.0, 1.0):
@@ -181,7 +175,7 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
             if delta_cost <= 1e-12 * (1.0 + abs(obj)):
                 xt = x.copy()
                 xt[j] = val
-                if core.rows_feasible(xt, FEAS_TOL):
+                if core.rows_feasible(xt):
                     child.solved_x = xt
                     child.solved_obj = obj + delta_cost
             heapq.heappush(heap, (obj, -child.depth, next(seq), child))

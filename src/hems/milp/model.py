@@ -70,7 +70,6 @@ class MILPModel:
         self.variables: list[Variable] = []
         self.constraints: list[LinearConstraint] = []
         self.objective: tuple[tuple[int, float], ...] = ()
-        self.direction = "minimize"
 
     # -- construction -----------------------------------------------------
 

@@ -6,9 +6,19 @@ the basis matrix. Rows are equilibrated to unit max-|coefficient| before
 solving. Anti-cycling: Bland's rule is engaged after a run of degenerate
 pivots and released on the next improving step.
 
-Columns are [structural | slacks | artificials]. The structural block is kept
-in compressed sparse column (CSC) form; the slack and artificial blocks are
-identity matrices and are never materialized.
+Columns are [structural | slacks]. The structural block is kept in
+compressed sparse column (CSC) form; the slack block is an identity matrix
+and is never materialized.
+
+Phase 1 needs no artificial columns. The start puts structural variables at
+their nearest finite bound and makes every slack basic, carrying the row
+residual b − A·x. A slack whose residual lies above its range is relaxed to
+[upper, +inf) with phase-1 cost +1, one below its range to (−inf, lower] with
+cost −1, so phase 1 minimizes the sum of bound violations (Maros,
+*Computational Techniques of the Simplex Method*, 2003). A relaxed slack can
+only leave the basis on the bound it violated, which is a bound of its real
+range: it gets that range back and loses its phase-1 cost there. At the end
+of phase 1 every slack gets its real range back.
 
 The basis inverse B⁻¹ is a dense m×m array, but each pivot only touches the
 part of it that the entering column w = B⁻¹a_q needs, and w is very sparse on
@@ -17,7 +27,7 @@ multiplies only the columns of B⁻¹ that a_q touches; the ratio test and the
 basic-value update run over the nonzeros of w; the product-form update
 rewrites only the entries of B⁻¹ in a nonzero row of w and a nonzero column
 of the pivot row; and the reduced costs are updated from the old pivot row
-ρ = e_rᵀB⁻¹ as d -= θ·(Aᵀρ, ρ, ρ) with θ = d_q / w_r. A pivot so costs at
+ρ = e_rᵀB⁻¹ as d -= θ·(Aᵀρ, ρ) with θ = d_q / w_r. A pivot so costs at
 most O(m·nnz(w) + nnz(A)) rather than O(m² + m·n). Reduced costs are
 recomputed from scratch at phase start, at every refresh and
 refactorization, and before optimality is declared. A refactorization
@@ -72,8 +82,7 @@ class CompiledLP:
 
     A is held in CSC form: the nonzeros of column j are
     `row_idx[col_ptr[j]:col_ptr[j + 1]]` / `vals[...]`, and `col_of` gives
-    the column of every nonzero. Slack bounds encode the row sense;
-    artificials exist only to build a feasible starting basis in phase 1.
+    the column of every nonzero. Slack bounds encode the row sense.
     """
 
     __slots__ = ("n", "m", "col_ptr", "row_idx", "vals", "col_of", "b",
@@ -122,11 +131,11 @@ class CompiledLP:
         self.cost = model.objective_vector()
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row indices and values of the nonzeros of column j of [A | I | I]."""
+        """Row indices and values of the nonzeros of column j of [A | I]."""
         if j < self.n:
             lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
             return self.row_idx[lo:hi], self.vals[lo:hi]
-        return np.array([(j - self.n) % self.m]), _UNIT
+        return np.array([j - self.n]), _UNIT
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x for a structural vector x."""
@@ -136,10 +145,11 @@ class CompiledLP:
         """A.T @ y for a row vector y."""
         return np.bincount(self.col_of, weights=self.vals * y[self.row_idx], minlength=self.n)
 
-    def rows_feasible(self, x_struct: np.ndarray, tol: float = FEAS_TOL) -> bool:
-        """Whether a structural point satisfies every row (bounds not checked)."""
+    def rows_feasible(self, x_struct: np.ndarray) -> bool:
+        """Whether a structural point satisfies every row within FEAS_TOL
+        (bounds not checked)."""
         resid = self.b - self.matvec(x_struct)
-        slack_tol = tol * (1.0 + np.abs(self.b))
+        slack_tol = FEAS_TOL * (1.0 + np.abs(self.b))
         return bool(
             np.all(resid >= self.slack_lower - slack_tol)
             and np.all(resid <= self.slack_upper + slack_tol)
@@ -167,44 +177,35 @@ def solve_compiled(
     that is singular at refactorization.
     """
     n, m = core.n, core.m
-    ntot = n + 2 * m
+    ntot = n + m
     b = core.b
+    slack_lo, slack_hi = core.slack_lower, core.slack_upper
 
     lo = np.empty(ntot)
     hi = np.empty(ntot)
     lo[:n], hi[:n] = lower, upper
-    lo[n : n + m], hi[n : n + m] = core.slack_lower, core.slack_upper
+    lo[n:], hi[n:] = slack_lo, slack_hi
 
-    # Start: structural variables rest at their nearest finite bound, slacks
-    # at zero; each row is carried by its slack when the initial residual fits
-    # the slack range, otherwise by an artificial holding the residual.
+    # Start: structural variables rest at their nearest finite bound; every
+    # slack is basic and carries the row residual.
     x = np.zeros(ntot)
-    state = np.full(ntot, _AT_ZERO_FREE, dtype=np.int8)
+    state = np.full(ntot, _BASIC, dtype=np.int8)
     finite_lo = np.isfinite(lo[:n])
     finite_hi = np.isfinite(hi[:n])
     x[:n] = np.where(finite_lo, lo[:n], np.where(finite_hi, hi[:n], 0.0))
     state[:n] = np.where(finite_lo, _AT_LOWER, np.where(finite_hi, _AT_UPPER, _AT_ZERO_FREE))
-    state[n : n + m] = np.where(np.isfinite(core.slack_lower), _AT_LOWER, _AT_UPPER)
+    basis = np.arange(n, ntot)
+    x[n:] = b - core.matvec(x[:n])
 
-    resid = b - core.matvec(x[:n])
-    slack_ok = (resid >= lo[n : n + m]) & (resid <= hi[n : n + m])
-    basis = np.where(slack_ok, np.arange(n, n + m), np.arange(n + m, ntot))
-    # Artificial bounds: one-sided around the residual they carry; unused ones
-    # are pinned at zero so they can never enter.
-    art = np.arange(n + m, ntot)
-    lo[art] = 0.0
-    hi[art] = 0.0
-    need_art = ~slack_ok
-    neg = need_art & (resid < 0.0)
-    pos = need_art & (resid >= 0.0)
-    lo[art[neg]] = -np.inf
-    hi[art[pos]] = np.inf
-    x[basis] = resid
-    state[basis] = _BASIC
-
+    # A slack outside its range is relaxed to the far side of the bound it
+    # violates, with a phase-1 cost that pulls it back towards that bound.
+    above = np.flatnonzero(x[n:] > slack_hi)
+    below = np.flatnonzero(x[n:] < slack_lo)
+    lo[n + above], hi[n + above] = slack_hi[above], np.inf
+    lo[n + below], hi[n + below] = -np.inf, slack_lo[below]
     phase1_cost = np.zeros(ntot)
-    phase1_cost[art[pos]] = 1.0
-    phase1_cost[art[neg]] = -1.0
+    phase1_cost[n + above] = 1.0
+    phase1_cost[n + below] = -1.0
 
     phase2_cost = np.zeros(ntot)
     phase2_cost[:n] = core.cost
@@ -217,12 +218,12 @@ def solve_compiled(
     def refresh_basics() -> None:
         xn = x.copy()
         xn[basis] = 0.0
-        rhs_eff = b - core.matvec(xn[:n]) - xn[n : n + m] - xn[n + m :]
+        rhs_eff = b - core.matvec(xn[:n]) - xn[n:]
         x[basis] = Binv @ rhs_eff
 
     def refactor() -> None:
-        # With the rows permuted so that the unit (slack/artificial) basic
-        # columns come last, B is block lower triangular:
+        # With the rows permuted so that the unit (slack) basic columns come
+        # last, B is block lower triangular:
         #   B = [S_L  0]   =>   B⁻¹ = [S_L⁻¹           0]
         #       [S_U  I]                [-S_U S_L⁻¹     I]
         # where S holds the k structural basic columns, U the rows their unit
@@ -231,7 +232,7 @@ def solve_compiled(
         nonlocal Binv, pivots_since_refactor
         pos_s = np.flatnonzero(basis < n)
         pos_u = np.flatnonzero(basis >= n)
-        rows_u = (basis[pos_u] - n) % m
+        rows_u = basis[pos_u] - n
         covered = np.zeros(m, dtype=bool)
         covered[rows_u] = True
         rows_l = np.flatnonzero(~covered)
@@ -248,7 +249,7 @@ def solve_compiled(
         refresh_basics()
 
     def residual_ok() -> bool:
-        resid = np.abs(b - core.matvec(x[:n]) - x[n : n + m] - x[n + m :])
+        resid = np.abs(b - core.matvec(x[:n]) - x[n:])
         return bool(np.all(resid <= FEAS_TOL * (1.0 + np.abs(b))))
 
     def run_phase(cost: np.ndarray, phase: int) -> str:
@@ -259,10 +260,6 @@ def solve_compiled(
         verify_rounds = 0
         ray_rounds = 0
         d = np.empty(ntot)
-        # Slack and artificial columns are both identity blocks: one (2, m) view
-        # updates their reduced costs together.
-        d_unit = d[n:].reshape(2, m)
-        cost_unit = cost[n:].reshape(2, m)
         fresh = False  # d recomputed from scratch since the last basis change
         # Fixed variables never enter either; nonbasic free variables gain
         # from either sign of d and are scored by |d|.
@@ -274,7 +271,7 @@ def solve_compiled(
             nonlocal fresh
             y = Binv.T @ cost[basis]
             d[:n] = cost[:n] - core.rmatvec(y)
-            np.subtract(cost_unit, y, out=d_unit)
+            d[n:] = cost[n:] - y
             fresh = True
 
         def entering() -> int:
@@ -360,7 +357,7 @@ def solve_compiled(
                         refactor()
                         reprice()
                         continue
-                    # Phase 1 minimizes a sum of |artificial|, which is
+                    # Phase 1 minimizes a sum of bound violations, which is
                     # bounded below: a ray there is an arithmetic failure.
                     return NUMERICAL if phase == 1 else UNBOUNDED
                 x[bnz] -= t * delta
@@ -375,27 +372,30 @@ def solve_compiled(
                 x[bnz] -= t * delta
                 x[q] = start + sigma * t
                 x[leave] = hi[leave] if hit_upper else lo[leave]
-                state[leave] = _AT_UPPER if hit_upper else _AT_LOWER
                 state[q] = _BASIC
                 basis[r_best] = q
                 # New pivot row br = ρ / w_r. The reduced costs move by
-                # d_q·(Aᵀbr, br, br); row i of B⁻¹ by w_i·br, so only the
-                # entries in a nonzero row of w and a nonzero column of br
-                # change.
+                # d_q·(Aᵀbr, br); row i of B⁻¹ by w_i·br, so only the entries
+                # in a nonzero row of w and a nonzero column of br change.
                 br = Binv[r_best] / w[r_best]
                 g = d[q] * br
                 d[:n] -= core.rmatvec(g)
-                d_unit -= g
+                d[n:] -= g
                 d[q] = 0.0
                 fresh = False
                 cols = br.nonzero()[0]
                 Binv[nz[:, None], cols] -= wz[:, None] * br[cols]
                 Binv[r_best] = br
                 pivots_since_refactor += 1
-                if phase == 1 and leave >= n + m:
-                    # An artificial that left the basis is retired for good.
-                    lo[leave] = hi[leave] = 0.0
-                    x[leave] = 0.0
+                if phase == 1 and leave >= n:
+                    # A relaxed slack leaves on the bound it violated: give it
+                    # back its real range, rest it on that same bound, and
+                    # drop its phase-1 cost. (A no-op for unrelaxed slacks.)
+                    lo[leave], hi[leave] = slack_lo[leave - n], slack_hi[leave - n]
+                    hit_upper = bool(x[leave] == hi[leave])
+                    d[leave] -= cost[leave]
+                    cost[leave] = 0.0
+                state[leave] = _AT_UPPER if hit_upper else _AT_LOWER
                 sign[q] = 0.0
                 sign[leave] = 0.0 if lo[leave] == hi[leave] else (1.0 if hit_upper else -1.0)
                 if sq == _AT_ZERO_FREE:
@@ -417,18 +417,17 @@ def solve_compiled(
         except np.linalg.LinAlgError:
             return NUMERICAL
 
-    # Phase 1 only if some row needed an artificial.
-    if bool(np.any(need_art)):
+    # Phase 1 only if some slack was relaxed.
+    if above.size or below.size:
         status = run(phase1_cost, phase=1)
         if status in (ITERATION_LIMIT, NUMERICAL):
             return SimplexResult(status, x[:n].copy(), float("nan"), iters)
-        infeas = float(np.abs(x[art]).sum())
+        xs = x[n:]
+        infeas = float(np.sum(np.maximum(slack_lo - xs, 0.0) + np.maximum(xs - slack_hi, 0.0)))
         if infeas > feas_eps:
             return SimplexResult(INFEASIBLE, x[:n].copy(), float("nan"), iters)
-        # Pin every artificial at zero for phase 2.
-        lo[art] = 0.0
-        hi[art] = 0.0
-        x[art] = np.where(np.abs(x[art]) <= feas_eps, 0.0, x[art])
+        lo[n:], hi[n:] = slack_lo, slack_hi
+        np.clip(xs, slack_lo, slack_hi, out=xs)
 
     status = run(phase2_cost, phase=2)
     if status in (ITERATION_LIMIT, NUMERICAL):
@@ -443,20 +442,10 @@ def solve_compiled(
 def solve_lp(
     model: MILPModel,
     iteration_limit: int = DEFAULT_LP_ITERATION_LIMIT,
-    lower: np.ndarray | None = None,
-    upper: np.ndarray | None = None,
 ) -> MILPSolution:
-    """Solve the LP relaxation of a model (integrality ignored).
-
-    `lower`/`upper` override the structural variable bounds when given; this
-    is how callers fix binaries without rebuilding the model.
-    """
+    """Solve the LP relaxation of a model (integrality ignored)."""
     core = CompiledLP(model)
     lo, hi = model.bounds_arrays()
-    if lower is not None:
-        lo = np.asarray(lower, dtype=float)
-    if upper is not None:
-        hi = np.asarray(upper, dtype=float)
     res = solve_compiled(core, lo, hi, iteration_limit)
     return MILPSolution(
         status=res.status,

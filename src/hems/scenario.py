@@ -85,12 +85,29 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # validation
 
+def _number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{name}: expected a number, got {value!r}") from None
+
+
+def _count(name: str, value) -> int:
+    f = _number(name, value)
+    if not f.is_integer():
+        raise ScenarioError(f"{name}: expected an integer, got {value!r}")
+    return int(f)
+
+
 def _check_series(name: str, values, T: int, nonneg: bool = True) -> tuple[float, ...]:
     if len(values) != T:
         raise ScenarioError(f"{name}: expected {T} values, got {len(values)}")
     out = []
     for i, v in enumerate(values):
-        f = float(v)
+        try:
+            f = float(v)
+        except (TypeError, ValueError):
+            raise ScenarioError(f"{name}[{i}]: expected a number, got {v!r}") from None
         if not math.isfinite(f):
             raise ScenarioError(f"{name}[{i}]: non-finite value")
         if nonneg and f < 0:
@@ -252,13 +269,8 @@ def _parse_storage(name: str, block: dict, soe_init_default=None) -> StorageSpec
     if soe_init is None:
         raise ScenarioError(f"{name}.soe_init: required")
     return StorageSpec(
-        charge_rate=float(block["charge_rate"]),
-        discharge_rate=float(block["discharge_rate"]),
-        charge_eff=float(block["charge_eff"]),
-        discharge_eff=float(block["discharge_eff"]),
-        soe_min=float(block["soe_min"]),
-        soe_max=float(block["soe_max"]),
-        soe_init=float(soe_init),
+        **{key: _number(f"{name}.{key}", block[key]) for key in _STORAGE_KEYS},
+        soe_init=_number(f"{name}.soe_init", soe_init),
     )
 
 
@@ -277,11 +289,8 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
         {"appliances", "pv_gen", "ess", "ev", "penalties", "limits"},
     )
     _require_keys("grid", doc["grid"], {"intervals", "interval_hours"})
-    try:
-        T = int(doc["grid"]["intervals"])
-        dt = float(doc["grid"]["interval_hours"])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"grid: {exc}") from exc
+    T = _count("grid.intervals", doc["grid"]["intervals"])
+    dt = _number("grid.interval_hours", doc["grid"]["interval_hours"])
     grid = TimeGrid(T, dt)
 
     _require_keys("tariff", doc["tariff"], {"buy", "sell"})
@@ -300,7 +309,7 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
             ApplianceSpec(
                 name=str(block["name"]),
                 profile=_check_series(f"appliances[{i}].profile", profile, T),
-                adt_hours=float(block["adt_hours"]),
+                adt_hours=_number(f"appliances[{i}].adt_hours", block["adt_hours"]),
             )
         )
 
@@ -321,12 +330,12 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
         )
         # Arrival state of charge defaults to 80% of capacity.
         storage = _parse_storage(
-            "ev", doc["ev"], soe_init_default=0.8 * float(doc["ev"]["soe_max"])
+            "ev", doc["ev"], soe_init_default=0.8 * _number("ev.soe_max", doc["ev"]["soe_max"])
         )
         ev = EVSpec(
             storage=storage,
-            arrival=int(doc["ev"]["arrival"]),
-            departure=int(doc["ev"]["departure"]),
+            arrival=_count("ev.arrival", doc["ev"]["arrival"]),
+            departure=_count("ev.departure", doc["ev"]["departure"]),
             require_full_at_departure=bool(
                 doc["ev"].get("require_full_at_departure", True)
             ),
@@ -335,10 +344,9 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
     penalties = DEFAULT_PENALTIES
     if doc.get("penalties") is not None:
         _require_keys("penalties", doc["penalties"], {"pv_sold", "ess_sold", "ev_sold"})
-        penalties = (
-            float(doc["penalties"]["pv_sold"]),
-            float(doc["penalties"]["ess_sold"]),
-            float(doc["penalties"]["ev_sold"]),
+        penalties = tuple(
+            _number(f"penalties.{key}", doc["penalties"][key])
+            for key in ("pv_sold", "ess_sold", "ev_sold")
         )
 
     nd_t = _check_series("non_deferrable", nd, T)
@@ -349,8 +357,8 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
         _require_keys("limits", doc["limits"], set(), {"import_cap", "export_cap"})
         raw1 = doc["limits"].get("import_cap", "auto")
         raw2 = doc["limits"].get("export_cap", "auto")
-        n1 = auto_n1 if raw1 == "auto" else float(raw1)
-        n2 = auto_n2 if raw2 == "auto" else float(raw2)
+        n1 = auto_n1 if raw1 == "auto" else _number("limits.import_cap", raw1)
+        n2 = auto_n2 if raw2 == "auto" else _number("limits.export_cap", raw2)
 
     sc = Scenario(
         grid=grid,

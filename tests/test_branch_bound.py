@@ -22,7 +22,7 @@ from hems.milp import (
     solve_lp,
     solve_milp,
 )
-from hems.milp.simplex import CompiledLP, SimplexResult
+from hems.milp.simplex import CompiledLP, SimplexResult, solve_compiled
 from hems.scenario import synth_case
 
 from lp_oracle import random_boxed_lp
@@ -35,6 +35,7 @@ HALFHOUR = SCENARIOS / "reference_halfhour.yaml"
 def enumerate_milp(model: MILPModel) -> tuple[str, float]:
     """Brute force over all binary fixings, LP for the rest."""
     binaries = model.binary_ids()
+    core = CompiledLP(model)
     lo, hi = model.bounds_arrays()
     best = math.inf
     found = False
@@ -48,7 +49,7 @@ def enumerate_milp(model: MILPModel) -> tuple[str, float]:
             flo[vid] = fhi[vid] = val
         if not ok:
             continue
-        r = solve_lp(model, lower=flo, upper=fhi)
+        r = solve_compiled(core, flo, fhi)
         if r.status == OPTIMAL:
             found = True
             best = min(best, r.objective)

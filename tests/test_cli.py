@@ -101,7 +101,8 @@ def test_solve_node_limit_exits_nonzero(runner, tmp_path):
     )
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert "case=D dsm=on status=iteration_limit" in result.output
+    assert "case=D dsm=on status=iteration_limit nodes=2 lp_iterations=" in result.output
+    assert "hint:" not in result.output
     assert not (out / "schedule_D_dsm.csv").exists()
 
 
@@ -134,11 +135,41 @@ def test_solve_dump_lp_writes_the_solved_model(runner, tmp_path):
     assert (out / "model_C_dsm.lp").read_text() == model.to_lp_text()
 
 
-def test_solve_rejects_bad_scenario(runner, tmp_path):
+def _set(path: tuple, value):
+    def edit(doc: dict) -> None:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc["grid"].pop("interval_hours"), "grid"),
+        (_set(("ess", "charge_rate"), "fast"), "ess.charge_rate"),
+        (_set(("appliances", 0, "adt_hours"), "four"), "appliances[0].adt_hours"),
+        (_set(("limits",), {"import_cap": "big"}), "limits.import_cap"),
+        (_set(("appliances", 0, "profile", 3), "x"), "appliances[0].profile[3]"),
+        (_set(("grid", "intervals"), 24.5), "grid.intervals"),
+        (_set(("ev", "arrival"), 0.7), "ev.arrival"),
+    ],
+    ids=["missing-key", "charge-rate", "adt-hours", "import-cap", "profile-entry",
+         "fractional-intervals", "fractional-arrival"],
+)
+def test_solve_rejects_bad_scenario(runner, tmp_path, edit, field):
+    import yaml
+
+    from hems.scenario import scenario_to_mapping
+
+    doc = scenario_to_mapping(load_scenario(HOURLY))
+    edit(doc)
     bad = tmp_path / "bad.yaml"
-    bad.write_text("schema: hems-scenario/1\ngrid: {intervals: 2}\n")
-    result = runner.invoke(main, ["solve", str(bad)])
-    assert result.exit_code == 2
+    bad.write_text(yaml.safe_dump(doc))
+    result = runner.invoke(main, ["solve", str(bad), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 2, result.output
+    assert field in result.output
 
 
 def test_sweep_summary_and_determinism(runner, tmp_path):

@@ -20,15 +20,24 @@ from hems.milp import (
 from lp_oracle import enumerate_lp_optimum, random_boxed_lp
 
 
-def test_min_with_lower_bound_row():
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
+@pytest.mark.parametrize(
+    "coef, sense, rhs", [(1.0, ">=", 3.0), (-1.0, "<=", -3.0), (1.0, "=", 3.0)],
+    ids=["ge", "neg-le", "eq"],
+)
+def test_min_with_lower_bound_row(coef, sense, rhs, sign):
+    # x = 0 violates the row, so phase 1 starts from a relaxed slack. For the
+    # inequality forms, the max objective needs that slack's real range back
+    # once phase 1 has moved it onto the row's bound.
     m = MILPModel()
     x = m.add_continuous("x", 0.0, 10.0)
-    m.add_constraint([(x, 1.0)], ">=", 3.0, "floor")
-    m.set_objective([(x, 1.0)])
+    m.add_constraint([(x, coef)], sense, rhs, "floor")
+    m.set_objective([(x, sign)])
     r = solve_lp(m)
+    expect = 10.0 if sign < 0 and sense != "=" else 3.0
     assert r.status == OPTIMAL
-    assert r.objective == pytest.approx(3.0, abs=1e-9)
-    assert r.values[x] == pytest.approx(3.0, abs=1e-9)
+    assert r.objective == pytest.approx(sign * expect, abs=1e-9)
+    assert r.values[x] == pytest.approx(expect, abs=1e-9)
 
 
 def test_facet_optimum_unique_objective():
@@ -218,8 +227,8 @@ def _sparse_boxed_lp(rng: np.random.Generator, m: int, kind: str) -> MILPModel:
 
     Rows are built around a random interior point, so the LP is feasible;
     "unbounded" adds a cheap open ray, "infeasible" a row no box point can
-    reach. A third of the rows are equalities, whose artificials phase 1
-    must drive out.
+    reach. A third of the rows are equalities, whose relaxed slacks phase 1
+    must drive back to zero.
     """
     n = int(1.5 * m)
     model = MILPModel(f"sparse_{kind}")
