@@ -1,11 +1,13 @@
 """Compile a Scenario into a MILP and map solutions back to a Schedule.
 
-Per interval t the model carries grid buy/sell with a mode binary, a PV
-use/sell split, charge/discharge/use/sell plus state-of-energy for the ESS
-and (inside its availability window) the EV, and one binary per admissible
-(appliance, source, destination) delay choice. The home power balance ties
-them together; appliance blocks are atomic and may only be delayed, never
-advanced.
+Per interval t the model carries grid buy/sell, a PV use/sell split,
+charge/discharge/use/sell plus state-of-energy for the ESS and (inside its
+availability window) the EV, and one binary per admissible (appliance,
+source, destination) delay choice. The home power balance ties them
+together; appliance blocks are atomic and may only be delayed, never
+advanced. The paper's buy/sell and charge/discharge mode binaries, with
+their big-M rows, are emitted only in the intervals where they can change
+the optimum (see `mode_needed`); `build_model(sc, full=True)` keeps all.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ class StorageVars:
     used: dict[int, int]
     sold: dict[int, int]
     soe: dict[int, int]
-    mode: dict[int, int]             # 1 = charging side active
+    mode: dict[int, int]             # 1 = charging side active; see mode_needed
 
 
 @dataclass(frozen=True)
 class VarMap:
     grid_buy: tuple[int, ...]
     grid_sell: tuple[int, ...]
-    grid_mode: tuple[int, ...]
+    grid_mode: dict[int, int]        # 1 = buying side active; see mode_needed
     pv_used: tuple[int, ...]
     pv_sold: tuple[int, ...]
     ess: StorageVars | None
@@ -99,12 +101,65 @@ def shift_destinations(T: int, src: int, adt_intervals: int) -> range:
     return range(src, min(src + adt_intervals, T - 1) + 1)
 
 
+def mode_needed(sc: Scenario) -> tuple[list[bool], list[bool], list[bool]]:
+    """Per interval, whether the grid, the ESS and the EV keep a mode binary.
+
+    Without it exclusivity is relaxed. That is exact in interval t when an
+    exchange confined to t strictly improves any point with simultaneous
+    flows there, whatever the other binaries are (prices >= 0, penalties
+    0 <= e_pv < e_ess < e_ev):
+
+    * Grid, if sell[t] < buy[t]: buying and exporting, buy eps less and turn
+      eps of an export (penalty e) into own use: (sell - buy - e)*eps < 0.
+    * Storage with eta = charge_eff*discharge_eff, if also
+      sell[t]*(1 - eta) > max(penalties) and pv_gen[t] plus every device's
+      deliverable rate is within the export cap: charging and discharging,
+      charge d less and discharge charge_eff*d less. The energy state is the
+      same; the device delivers eta*d less and the home needs d less. If it
+      buys, it buys (1 - eta)*d less, or d less while exporting eta*d less;
+      both gain as buy > sell. Otherwise own use (of PV or devices) equals
+      load plus charging > 0, and d of it turns into export: the device's own
+      use, gaining (sell - e)*(1 - eta)*d, or else a source s's while the
+      device exports eta*d less, gaining (sell*(1 - eta) - e_s + eta*e)*d.
+      Export has that room: it is at most pv_gen[t] plus the deliverable
+      rates minus own use. The price test also keeps the binary of a
+      lossless device (eta = 1) and wherever sell[t] <= max(penalties).
+    """
+    buy, sell = sc.tariff.buy, sc.tariff.sell
+    specs = (sc.ess, sc.ev.storage if sc.ev else None)
+    deliverable = sum(s.discharge_rate * s.discharge_eff for s in specs if s)
+    grid = [s >= b for s, b in zip(sell, buy)]
+
+    def storage(spec: StorageSpec | None) -> list[bool]:
+        loss = 1.0 - spec.charge_eff * spec.discharge_eff if spec else 0.0
+        return [
+            grid[t] or sell[t] * loss <= max(sc.penalties)
+            or sc.pv_gen[t] + deliverable > sc.big_m[1]
+            for t in range(sc.grid.T)
+        ]
+
+    return grid, storage(specs[0]), storage(specs[1])
+
+
+def _add_mode(model: MILPModel, label: str, t: int, on: tuple, off: tuple) -> int:
+    """Mode binary u of `label` at t: the `on` flow may be nonzero only when
+    u = 1 and the `off` flow only when u = 0. Each is (name, var id, cap)."""
+    (on_name, on_var, on_cap), (off_name, off_var, off_cap) = on, off
+    u = model.add_binary(f"u_{label}_{t}")
+    model.add_constraint([(on_var, 1.0), (u, -on_cap)], "<=", 0.0, f"{label}_{on_name}_mode_{t}")
+    model.add_constraint(
+        [(off_var, 1.0), (u, off_cap)], "<=", off_cap, f"{label}_{off_name}_mode_{t}"
+    )
+    return u
+
+
 def _add_storage_block(
     model: MILPModel,
     label: str,
     spec: StorageSpec,
     window: tuple[int, int],
     dt: float,
+    keep_mode: list[bool],
 ) -> StorageVars:
     lo_t, hi_t = window
     charge: dict[int, int] = {}
@@ -120,7 +175,6 @@ def _add_storage_block(
         used[t] = model.add_continuous(f"{label}_used_{t}", 0.0, deliver_cap)
         sold[t] = model.add_continuous(f"{label}_sold_{t}", 0.0, deliver_cap)
         soe[t] = model.add_continuous(f"{label}_soe_{t}", spec.soe_min, spec.soe_max)
-        mode[t] = model.add_binary(f"u_{label}_{t}")
 
         # Delivered energy split between home use and export.
         model.add_constraint(
@@ -129,19 +183,12 @@ def _add_storage_block(
             0.0,
             f"{label}_split_{t}",
         )
-        # Mode exclusivity: charging only when mode=1, discharging when 0.
-        model.add_constraint(
-            [(charge[t], 1.0), (mode[t], -spec.charge_rate)],
-            "<=",
-            0.0,
-            f"{label}_charge_mode_{t}",
-        )
-        model.add_constraint(
-            [(discharge[t], 1.0), (mode[t], spec.discharge_rate)],
-            "<=",
-            spec.discharge_rate,
-            f"{label}_discharge_mode_{t}",
-        )
+        if keep_mode[t]:
+            mode[t] = _add_mode(
+                model, label, t,
+                ("charge", charge[t], spec.charge_rate),
+                ("discharge", discharge[t], spec.discharge_rate),
+            )
         # State of energy recursion; the first interval starts from the
         # pre-horizon stored energy.
         terms = [(soe[t], 1.0), (charge[t], -spec.charge_eff * dt), (discharge[t], dt)]
@@ -153,17 +200,28 @@ def _add_storage_block(
     return StorageVars((lo_t, hi_t), charge, discharge, used, sold, soe, mode)
 
 
-def build_model(scenario: Scenario) -> tuple[MILPModel, VarMap]:
-    """Compile a validated scenario into a MILP and its variable map."""
+def build_model(scenario: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
+    """Compile a validated scenario into a MILP and its variable map.
+
+    Mode binaries appear only where `mode_needed` says they can matter;
+    `full=True` gives the paper's model with a mode binary everywhere.
+    """
     sc = validate(scenario)
     T = sc.grid.T
     dt = sc.grid.dt
     n1, n2 = sc.big_m
     model = MILPModel("hems_day_ahead")
+    keep_grid, keep_ess, keep_ev = mode_needed(sc)
+    if full:
+        keep_grid = keep_ess = keep_ev = [True] * T
 
     grid_buy = tuple(model.add_continuous(f"grid_buy_{t}", 0.0, n1) for t in range(T))
     grid_sell = tuple(model.add_continuous(f"grid_sell_{t}", 0.0, n2) for t in range(T))
-    grid_mode = tuple(model.add_binary(f"u_grid_{t}") for t in range(T))
+    grid_mode = {
+        t: _add_mode(model, "grid", t, ("buy", grid_buy[t], n1), ("sell", grid_sell[t], n2))
+        for t in range(T)
+        if keep_grid[t]
+    }
     pv_used = tuple(
         model.add_continuous(f"pv_used_{t}", 0.0, sc.pv_gen[t]) for t in range(T)
     )
@@ -172,12 +230,14 @@ def build_model(scenario: Scenario) -> tuple[MILPModel, VarMap]:
     )
 
     ess = (
-        _add_storage_block(model, "ess", sc.ess, (0, T - 1), dt)
+        _add_storage_block(model, "ess", sc.ess, (0, T - 1), dt, keep_ess)
         if sc.ess is not None
         else None
     )
     ev = (
-        _add_storage_block(model, "ev", sc.ev.storage, (sc.ev.arrival, sc.ev.departure), dt)
+        _add_storage_block(
+            model, "ev", sc.ev.storage, (sc.ev.arrival, sc.ev.departure), dt, keep_ev
+        )
         if sc.ev is not None
         else None
     )
@@ -234,14 +294,6 @@ def build_model(scenario: Scenario) -> tuple[MILPModel, VarMap]:
         if ev is not None and ev.window[0] <= t <= ev.window[1]:
             terms.append((ev.sold[t], -1.0))
         model.add_constraint(terms, "=", 0.0, f"export_sum_{t}")
-
-        # Buy/sell exclusivity through the grid-mode binary.
-        model.add_constraint(
-            [(grid_buy[t], 1.0), (grid_mode[t], -n1)], "<=", 0.0, f"grid_buy_mode_{t}"
-        )
-        model.add_constraint(
-            [(grid_sell[t], 1.0), (grid_mode[t], n2)], "<=", n2, f"grid_sell_mode_{t}"
-        )
 
     if ess is not None and sc.ess_end_reserve:
         model.add_constraint(

@@ -21,6 +21,7 @@ SCHEDULE_SCHEMA = "hems-schedule/1"
 COST_SCHEMA = "hems-costs/1"
 SWEEP_SCHEMA = "hems-sweep/1"
 
+_DEVICE_COLUMNS = ("charge_kw", "discharge_kw", "used_kw", "sold_kw", "soe_kwh")
 _BASE_COLUMNS = [
     "interval",
     "hour",
@@ -29,16 +30,7 @@ _BASE_COLUMNS = [
     "pv_used_kw",
     "pv_sold_kw",
     "served_load_kw",
-    "ess_charge_kw",
-    "ess_discharge_kw",
-    "ess_used_kw",
-    "ess_sold_kw",
-    "ess_soe_kwh",
-    "ev_charge_kw",
-    "ev_discharge_kw",
-    "ev_used_kw",
-    "ev_sold_kw",
-    "ev_soe_kwh",
+    *(f"{device}_{column}" for device in ("ess", "ev") for column in _DEVICE_COLUMNS),
 ]
 
 
@@ -71,26 +63,13 @@ def schedule_to_csv(
         fh.write(f"# schema: {SCHEDULE_SCHEMA}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
+        series = [schedule.grid_buy, schedule.grid_sell, schedule.pv_used, schedule.pv_sold,
+                  schedule.served_load]
+        for dev in (ess, ev):
+            series += [dev.charge, dev.discharge, dev.used, dev.sold, dev.soe]
         for t in range(T):
-            row = [
-                str(t),
-                _fmt((origin_hour + t * dt) % 24.0),
-                _fmt(schedule.grid_buy[t]),
-                _fmt(schedule.grid_sell[t]),
-                _fmt(schedule.pv_used[t]),
-                _fmt(schedule.pv_sold[t]),
-                _fmt(schedule.served_load[t]),
-                _fmt(ess.charge[t]),
-                _fmt(ess.discharge[t]),
-                _fmt(ess.used[t]),
-                _fmt(ess.sold[t]),
-                _fmt(ess.soe[t]),
-                _fmt(ev.charge[t]),
-                _fmt(ev.discharge[t]),
-                _fmt(ev.used[t]),
-                _fmt(ev.sold[t]),
-                _fmt(ev.soe[t]),
-            ]
+            row = [str(t), _fmt((origin_hour + t * dt) % 24.0)]
+            row += [_fmt(values[t]) for values in series]
             for name in app_names:
                 dst = schedule.shifts.get(name, {}).get(t)
                 row.append("" if dst is None else str(dst))
@@ -163,13 +142,7 @@ def schedule_from_csv(path, scenario: Scenario) -> Schedule:
     def device(prefix: str, present: bool) -> DeviceSchedule | None:
         if not present:
             return None
-        return DeviceSchedule(
-            charge=arrays[f"{prefix}_charge_kw"],
-            discharge=arrays[f"{prefix}_discharge_kw"],
-            used=arrays[f"{prefix}_used_kw"],
-            sold=arrays[f"{prefix}_sold_kw"],
-            soe=arrays[f"{prefix}_soe_kwh"],
-        )
+        return DeviceSchedule(*(arrays[f"{prefix}_{column}"] for column in _DEVICE_COLUMNS))
 
     return Schedule(
         grid_buy=arrays["grid_buy_kw"],

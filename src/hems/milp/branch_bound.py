@@ -6,22 +6,14 @@ the bounded-variable simplex with the branching decisions applied as bounds.
 A binary counts as integral within INTEGRALITY_TOL, and the search proves
 optimality within GAP_TOL; both are fixed.
 
-Two LP-free steps work on each node's optimal point:
-
-* Rounding: the point's fractional binaries are visited in ascending id
-  order and each is set to its nearest integer, or else to the other value,
-  keeping the value only if every row still holds. If all of them fit, the
-  rounded point is a feasible solution and becomes the incumbent when its
-  cost improves on it; an integral point rounds to itself, so this is the
-  only incumbent update. With cost-free binaries, as in the
-  indicator binaries of the home energy model, it costs what the node's LP
-  does, so the node closes at once.
-* Exact inheritance: when flipping the branched binary inside the parent's
-  optimal point keeps every row feasible and does not increase the objective,
-  that point is optimal for the child (the child is a restriction of the
-  parent, so its optimum can only be higher). Such children are enqueued
-  already solved. This collapses the up-branch cascades caused by cost-free
-  big-M indicator binaries.
+One LP-free step works on each node's optimal point. Rounding: the point's
+fractional binaries are visited in ascending id order and each is set to its
+nearest integer, or else to the other value, keeping the value only if every
+row still holds. If all of them fit, the rounded point is a feasible
+solution and becomes the incumbent when its cost improves on it; an integral
+point rounds to itself, so this is the only incumbent update. With cost-free
+binaries, as in the mode binaries the home energy model keeps, it costs what
+the node's LP does, so the node closes at once. Every node solves its own LP.
 """
 
 from __future__ import annotations
@@ -59,8 +51,6 @@ class _Node:
     lower: np.ndarray
     upper: np.ndarray
     depth: int
-    solved_x: np.ndarray | None = None   # set when inherited from the parent
-    solved_obj: float = math.nan
 
 
 def _fractional(values: np.ndarray, binary_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,8 +104,8 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
     best_obj = math.inf
     seq = itertools.count()
 
-    # Heap entries: (bound, -depth, seq, node). The bound of an unsolved node
-    # is its parent's LP objective, a valid lower bound since children are
+    # Heap entries: (bound, -depth, seq, node). The bound of a node is its
+    # parent's LP objective, a valid lower bound since children are
     # restrictions of the parent.
     heap: list[tuple[float, int, int, _Node]] = []
     heapq.heappush(heap, (-math.inf, 0, next(seq), _Node(lo, hi, 0)))
@@ -130,21 +120,18 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
             break
         nodes_explored += 1
 
-        if node.solved_x is not None:
-            x, obj = node.solved_x, node.solved_obj
-        else:
-            res = solve_compiled(core, node.lower, node.upper, opts.lp_iteration_limit)
-            lp_iterations += res.iterations
-            if res.status == INFEASIBLE:
-                continue
-            if res.status == UNBOUNDED and node.depth == 0:
-                return MILPSolution(UNBOUNDED, res.x, -math.inf, nodes_explored, lp_iterations)
-            if res.status != OPTIMAL:
-                # Short of the LP budget, this is numerical trouble: the
-                # simplex's own, or an unbounded child of a bounded parent.
-                stop = ITERATION_LIMIT if res.status == ITERATION_LIMIT else NUMERICAL
-                break
-            x, obj = res.x, res.objective
+        res = solve_compiled(core, node.lower, node.upper, opts.lp_iteration_limit)
+        lp_iterations += res.iterations
+        if res.status == INFEASIBLE:
+            continue
+        if res.status == UNBOUNDED and node.depth == 0:
+            return MILPSolution(UNBOUNDED, res.x, -math.inf, nodes_explored, lp_iterations)
+        if res.status != OPTIMAL:
+            # Short of the LP budget, this is numerical trouble: the
+            # simplex's own, or an unbounded child of a bounded parent.
+            stop = ITERATION_LIMIT if res.status == ITERATION_LIMIT else NUMERICAL
+            break
+        x, obj = res.x, res.objective
 
         if obj >= best_obj - GAP_TOL:
             continue
@@ -170,14 +157,6 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
             else:
                 clo[j] = 1.0
             child = _Node(clo, chi, node.depth + 1)
-            # Exact inheritance test: flip x_j in the parent point.
-            delta_cost = core.cost[j] * (val - x[j])
-            if delta_cost <= 1e-12 * (1.0 + abs(obj)):
-                xt = x.copy()
-                xt[j] = val
-                if core.rows_feasible(xt):
-                    child.solved_x = xt
-                    child.solved_obj = obj + delta_cost
             heapq.heappush(heap, (obj, -child.depth, next(seq), child))
 
     if incumbent is not None:

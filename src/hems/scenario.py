@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -86,10 +86,13 @@ class Scenario:
 # validation
 
 def _number(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{name}: expected a number, got {value!r}") from None
+    # YAML true/false would otherwise pass as 1.0/0.0.
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ScenarioError(f"{name}: expected a number, got {value!r}")
 
 
 def _count(name: str, value) -> int:
@@ -104,10 +107,7 @@ def _check_series(name: str, values, T: int, nonneg: bool = True) -> tuple[float
         raise ScenarioError(f"{name}: expected {T} values, got {len(values)}")
     out = []
     for i, v in enumerate(values):
-        try:
-            f = float(v)
-        except (TypeError, ValueError):
-            raise ScenarioError(f"{name}[{i}]: expected a number, got {v!r}") from None
+        f = _number(f"{name}[{i}]", v)
         if not math.isfinite(f):
             raise ScenarioError(f"{name}[{i}]: non-finite value")
         if nonneg and f < 0:
@@ -237,7 +237,7 @@ def _resolve_series(name: str, value, T: int, base_dir: Path | None):
             raise ScenarioError(f"{name}: column {col!r} not in {path}")
         return cols[col]
     if isinstance(value, (int, float)):
-        return [float(value)] * T
+        return [_number(name, value)] * T
     if isinstance(value, list):
         return value
     raise ScenarioError(f"{name}: expected array, scalar or csv reference")
@@ -406,26 +406,10 @@ def scenario_to_mapping(sc: Scenario) -> dict:
         "limits": {"import_cap": sc.big_m[0], "export_cap": sc.big_m[1]},
     }
     if sc.ess is not None:
-        doc["ess"] = {
-            "charge_rate": sc.ess.charge_rate,
-            "discharge_rate": sc.ess.discharge_rate,
-            "charge_eff": sc.ess.charge_eff,
-            "discharge_eff": sc.ess.discharge_eff,
-            "soe_min": sc.ess.soe_min,
-            "soe_max": sc.ess.soe_max,
-            "soe_init": sc.ess.soe_init,
-            "end_reserve": sc.ess_end_reserve,
-        }
+        doc["ess"] = {**asdict(sc.ess), "end_reserve": sc.ess_end_reserve}
     if sc.ev is not None:
-        s = sc.ev.storage
         doc["ev"] = {
-            "charge_rate": s.charge_rate,
-            "discharge_rate": s.discharge_rate,
-            "charge_eff": s.charge_eff,
-            "discharge_eff": s.discharge_eff,
-            "soe_min": s.soe_min,
-            "soe_max": s.soe_max,
-            "soe_init": s.soe_init,
+            **asdict(sc.ev.storage),
             "arrival": sc.ev.arrival,
             "departure": sc.ev.departure,
             "require_full_at_departure": sc.ev.require_full_at_departure,

@@ -248,11 +248,15 @@ def brute_force_optimum(
 
     Enumeration is lexicographic with strict-improvement updates, so among
     equal objectives the lexicographically smallest binary vector wins.
+    Always solves the paper's full model (`build_model(full=True)`), so it
+    does not depend on which mode binaries the solved model leaves out.
+    Fixings that break a row made of binaries alone (or a pre-fixed bound)
+    are infeasible whatever the LP does, and their LP is skipped.
     Returns (inf, None) when no fixing is feasible. Refuses scenarios with
     more than `max_binaries` binaries.
     """
-    model, varmap = build_model(scenario)
-    binaries = model.binary_ids()
+    model, varmap = build_model(scenario, full=True)
+    binaries = np.array(model.binary_ids(), dtype=int)
     if len(binaries) > max_binaries:
         raise OracleSizeError(
             f"scenario compiles to {len(binaries)} binary variables, above the "
@@ -261,19 +265,22 @@ def brute_force_optimum(
         )
     core = CompiledLP(model)
     lo, hi = model.bounds_arrays()
+    fixings = np.array(list(itertools.product((0.0, 1.0), repeat=len(binaries))))
+    keep = np.all((fixings >= lo[binaries]) & (fixings <= hi[binaries]), axis=1)
+    col = {int(vid): k for k, vid in enumerate(binaries)}
+    for con in model.constraints:
+        if all(vid in col for vid, _ in con.terms):
+            gap = sum(coef * fixings[:, col[vid]] for vid, coef in con.terms) - con.rhs
+            tol = 1e-9 * (1.0 + abs(con.rhs))
+            if con.sense != ">=":
+                keep &= gap <= tol
+            if con.sense != "<=":
+                keep &= gap >= -tol
     best_obj = math.inf
     best_x: np.ndarray | None = None
-    for fixing in itertools.product((0.0, 1.0), repeat=len(binaries)):
-        flo = lo.copy()
-        fhi = hi.copy()
-        for vid, val in zip(binaries, fixing):
-            # Respect pre-fixed bounds: skip fixings outside them.
-            if val < lo[vid] or val > hi[vid]:
-                flo = None
-                break
-            flo[vid] = fhi[vid] = val
-        if flo is None:
-            continue
+    for fixing in fixings[keep]:
+        flo, fhi = lo.copy(), hi.copy()
+        flo[binaries] = fhi[binaries] = fixing
         res = solve_compiled(core, flo, fhi)
         if res.status != OPTIMAL:
             continue
@@ -293,10 +300,11 @@ def schedule_to_values(
 ) -> np.ndarray:
     """Map a Schedule back onto model variables.
 
-    Mode binaries are reconstructed from the flows (charging/buying side wins
-    when both are active, which then shows up as a row violation, matching
-    the audit verdict). Destinations outside the admissible set cannot be
-    represented and leave their choice row unsatisfied.
+    Mode binaries are reconstructed from the flows where the model has them
+    (charging/buying side wins when both are active, which then shows up as
+    a row violation, matching the audit verdict; so on the full model only).
+    Destinations outside the admissible set cannot be represented and leave
+    their choice row unsatisfied.
     """
     values = np.zeros(model.num_variables)
 
@@ -304,9 +312,10 @@ def schedule_to_values(
     for t in range(T):
         values[varmap.grid_buy[t]] = schedule.grid_buy[t]
         values[varmap.grid_sell[t]] = schedule.grid_sell[t]
-        values[varmap.grid_mode[t]] = 1.0 if schedule.grid_buy[t] > 0.0 else 0.0
         values[varmap.pv_used[t]] = schedule.pv_used[t]
         values[varmap.pv_sold[t]] = schedule.pv_sold[t]
+    for t, vid in varmap.grid_mode.items():
+        values[vid] = 1.0 if schedule.grid_buy[t] > 0.0 else 0.0
     for vars_, dev in ((varmap.ess, schedule.ess), (varmap.ev, schedule.ev)):
         if vars_ is None or dev is None:
             continue
@@ -316,7 +325,8 @@ def schedule_to_values(
             values[vars_.used[t]] = dev.used[t]
             values[vars_.sold[t]] = dev.sold[t]
             values[vars_.soe[t]] = dev.soe[t]
-            values[vars_.mode[t]] = 1.0 if dev.charge[t] > 0.0 else 0.0
+        for t, vid in vars_.mode.items():
+            values[vid] = 1.0 if dev.charge[t] > 0.0 else 0.0
     for ai, app in enumerate(scenario.appliances):
         per_src = varmap.shift.get(ai, {})
         assign = schedule.shifts.get(app.name, {})

@@ -1,11 +1,14 @@
-"""Random small scenarios for oracle-agreement and property tests.
+"""Random scenarios for oracle-agreement and property tests.
 
-Sizes are kept tiny (T = 2..3, few appliances, optional small devices) so the
-brute-force oracle stays within its binary budget and the full suite runs in
-seconds.
+`random_small_scenario` keeps sizes tiny (T = 2..3, few appliances, optional
+small devices) so the brute-force oracle stays within its binary budget and
+the full suite runs in seconds. `perturbed_household` varies a full
+reference household for comparisons against a second MILP solver.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -95,3 +98,37 @@ def random_small_scenario(rng: np.random.Generator, allow_devices: bool = True) 
         big_m=default_big_m(nd_t, apps, ess, ev, pv_t),
     )
     return validate(sc)
+
+
+def _scaled(values, factor) -> tuple[float, ...]:
+    return tuple(float(x) for x in np.round(np.asarray(values) * factor, 4))
+
+
+def perturbed_household(base: Scenario, rng: np.random.Generator) -> Scenario:
+    """A variant of a full reference household (all devices kept): buy
+    prices scaled per interval by 1 + U(-0.2, 0.2), load by U(0.7, 1.3), PV
+    by U(0.6, 1.4), and each appliance rotated by -2..2 h with a delay
+    tolerance of 0..4 h."""
+    T = base.grid.T
+    per_hour = round(1.0 / base.grid.dt)
+    buy = _scaled(base.tariff.buy, 1.0 + rng.uniform(-0.2, 0.2, T))
+    nd = _scaled(base.non_deferrable, rng.uniform(0.7, 1.3))
+    pv = _scaled(base.pv_gen, rng.uniform(0.6, 1.4))
+    apps = tuple(
+        replace(
+            app,
+            profile=_scaled(np.roll(app.profile, int(rng.integers(-2, 3)) * per_hour), 1.0),
+            adt_hours=float(rng.integers(0, 5)),
+        )
+        for app in base.appliances
+    )
+    return validate(
+        replace(
+            base,
+            tariff=replace(base.tariff, buy=buy),
+            non_deferrable=nd,
+            pv_gen=pv,
+            appliances=apps,
+            big_m=default_big_m(nd, apps, base.ess, base.ev, pv),
+        )
+    )

@@ -29,7 +29,8 @@ def _report(name: str, detail: str = "") -> None:
 
 
 def test_c1_oracle_equivalence():
-    """solve_milp equals brute force on 200 random scenarios (<= 14 binaries)."""
+    """solve_milp equals brute force on 200 random scenarios (<= 14 binaries
+    in the paper's full model, which the oracle enumerates)."""
     rng = np.random.default_rng(20240601)
     t0 = time.perf_counter()
     checked = 0
@@ -37,13 +38,12 @@ def test_c1_oracle_equivalence():
     max_bins = 0
     while checked < 200:
         sc = random_small_scenario(rng)
-        model, _ = build_model(sc)
-        n_bins = len(model.binary_ids())
+        n_bins = len(build_model(sc, full=True)[0].binary_ids())
         if n_bins > 14:
             continue
         max_bins = max(max_bins, n_bins)
         oracle_obj, _ = brute_force_optimum(sc)
-        solution = solve_milp(model)
+        solution = solve_milp(build_model(sc)[0])
         if solution.status == OPTIMAL:
             feasible += 1
             assert oracle_obj == pytest.approx(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -279,12 +280,16 @@ def test_lp_iterations_count_every_lp(monkeypatch, hourly_reference, case, dsm):
     assert r.lp_iterations == sum(iterations)
 
 
-@pytest.mark.parametrize("case", "ABCD")
-def test_rounding_closes_the_root_without_dsm(monkeypatch, hourly_reference, case):
+def test_rounding_closes_the_root_without_dsm(monkeypatch, hourly_reference):
     """Cost-free binaries: a rounding that keeps every row feasible costs what
-    the root LP does, so the root node closes after its one LP."""
+    the root LP does, so the root node closes after its one LP. A lossless
+    ESS keeps its 24 charge/discharge mode binaries (case C, DSM off)."""
+    lossless = replace(
+        hourly_reference, ess=replace(hourly_reference.ess, charge_eff=1.0, discharge_eff=1.0)
+    )
     iterations = _record_lp_iterations(monkeypatch)
-    model, _ = build_model(synth_case(case, False, hourly_reference))
+    model, _ = build_model(synth_case("C", False, lossless))
+    assert len(model.binary_ids()) == 24
     r = solve_milp(model)
     assert r.status == OPTIMAL
     assert r.nodes_explored == 1
@@ -308,15 +313,17 @@ for case in "ABCD":
     for dsm in (False, True):
         digest(h, f"{case} {dsm}", solve_milp(build_model(synth_case(case, dsm, ref))[0]))
 halfhour = load_scenario(sys.argv[2])
-digest(h, "halfhour D root", solve_lp(build_model(synth_case("D", False, halfhour))[0]))
+digest(h, "halfhour D root", solve_lp(build_model(synth_case("D", False, halfhour), full=True)[0]))
+digest(h, "halfhour D dsm", solve_milp(build_model(synth_case("D", True, halfhour))[0]))
 print(h.hexdigest())
 """
 
 
 def test_hourly_sweep_bit_identical_across_blas_threads():
-    """The eight hourly reference solves, and the half-hour D DSM-off root LP
-    (530 rows, where OpenBLAS starts to split work across threads), hash the
-    same with 1 and 2 OpenBLAS threads, each run in a fresh interpreter."""
+    """The eight hourly reference solves, the root LP of the paper's full
+    model for half-hour D without DSM (530 rows, where OpenBLAS starts to
+    split work across threads) and the half-hour D DSM-on MILP hash the same
+    with 1 and 2 OpenBLAS threads, each run in a fresh interpreter."""
     src = str(Path(hems.__file__).resolve().parent.parent)
     digests = []
     for threads in ("1", "2"):

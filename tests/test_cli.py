@@ -154,9 +154,13 @@ def _set(path: tuple, value):
         (_set(("appliances", 0, "profile", 3), "x"), "appliances[0].profile[3]"),
         (_set(("grid", "intervals"), 24.5), "grid.intervals"),
         (_set(("ev", "arrival"), 0.7), "ev.arrival"),
+        (_set(("ess", "charge_rate"), True), "ess.charge_rate"),
+        (_set(("ev", "arrival"), False), "ev.arrival"),
+        (_set(("tariff", "buy", 5), True), "tariff.buy[5]"),
     ],
     ids=["missing-key", "charge-rate", "adt-hours", "import-cap", "profile-entry",
-         "fractional-intervals", "fractional-arrival"],
+         "fractional-intervals", "fractional-arrival", "boolean-charge-rate",
+         "boolean-arrival", "boolean-series-entry"],
 )
 def test_solve_rejects_bad_scenario(runner, tmp_path, edit, field):
     import yaml

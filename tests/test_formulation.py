@@ -85,13 +85,17 @@ def small_ess(**over):
 
 def test_case_a_structure(hourly_reference):
     sc = synth_case("A", False, hourly_reference)
-    model, varmap = build_model(sc)
+    model, varmap = build_model(sc, full=True)
     assert not varmap.shift  # no delay-choice binaries at zero ADT
     binaries = [model.variables[i].name for i in model.binary_ids()]
     assert len(binaries) == 24
     assert all(name.startswith("u_grid") for name in binaries)
     balance_rows = [c for c in model.constraints if c.tag.startswith("balance_")]
     assert len(balance_rows) == 24
+    # sell < buy in every interval: the solved model drops the grid modes.
+    reduced, varmap = build_model(sc)
+    assert not reduced.binary_ids() and not varmap.grid_mode
+    assert reduced.num_constraints == model.num_constraints - 2 * 24
 
 
 def test_single_block_shift_variables():
@@ -113,19 +117,22 @@ def test_destination_sets_clamped_to_horizon():
 
 def test_case_d_binary_count_closed_form(hourly_reference):
     sc = synth_case("D", True, hourly_reference)
-    model, _ = build_model(sc)
+    model, _ = build_model(sc, full=True)
     T = sc.grid.T
-    expected = T  # u_grid
-    expected += T  # u_ess
-    expected += sc.ev.departure - sc.ev.arrival + 1  # u_ev over the window
+    modes = T  # u_grid
+    modes += T  # u_ess
+    modes += sc.ev.departure - sc.ev.arrival + 1  # u_ev over the window
+    delays = 0
     for app in sc.appliances:
         adt = app.adt_intervals(sc.grid.dt)
         if adt == 0:
             continue
         for t in range(T):
             if app.profile[t] > 0:
-                expected += min(adt, T - 1 - t) + 1
-    assert len(model.binary_ids()) == expected
+                delays += min(adt, T - 1 - t) + 1
+    assert len(model.binary_ids()) == modes + delays
+    # The solved model keeps only the delay choices.
+    assert len(build_model(sc)[0].binary_ids()) == delays
 
 
 def test_ev_variables_only_inside_window():

@@ -1,0 +1,147 @@
+"""Mode binaries only where they can matter (`formulation.mode_needed`).
+
+Branch-and-bound on the reduced model must reach the optimum that HiGHS (as
+bundled with scipy) proves for the paper's full model, `build_model(sc,
+full=True)`, and every schedule must pass the audit, exclusivity included.
+The fallback cases keep some binaries and are checked the same way.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import hems.formulation as formulation
+from hems.formulation import build_model, solve_scenario
+from hems.milp import OPTIMAL, MILPModel
+from hems.scenario import EVSpec, StorageSpec, synth_case, validate
+from hems.validation import audit
+
+from scenario_gen import perturbed_household
+from test_formulation import make_scenario
+
+
+def highs_optimum(model: MILPModel) -> float:
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_matrix
+
+    rows, cols, coefs = [], [], []
+    row_lo = np.full(model.num_constraints, -math.inf)
+    row_hi = np.full(model.num_constraints, math.inf)
+    for i, con in enumerate(model.constraints):
+        for vid, coef in con.terms:
+            rows.append(i)
+            cols.append(vid)
+            coefs.append(coef)
+        if con.sense in ("=", ">="):
+            row_lo[i] = con.rhs
+        if con.sense in ("=", "<="):
+            row_hi[i] = con.rhs
+    A = csr_matrix((coefs, (rows, cols)), shape=(model.num_constraints, model.num_variables))
+    lo, hi = model.bounds_arrays()
+    res = milp(
+        model.objective_vector(),
+        integrality=np.array([v.kind == "binary" for v in model.variables], dtype=int),
+        bounds=Bounds(lo, hi),
+        constraints=LinearConstraint(A, row_lo, row_hi),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def assert_matches_full_model(sc):
+    result = solve_scenario(sc)
+    assert result.solution.status == OPTIMAL
+    full = highs_optimum(build_model(sc, full=True)[0])
+    assert result.solution.objective == pytest.approx(full, abs=1e-6 * (1 + abs(full)))
+    assert audit(sc, result.schedule).passed
+    return result
+
+
+@pytest.mark.parametrize("dsm", [False, True])
+@pytest.mark.parametrize("case", "ABCD")
+@pytest.mark.parametrize("reference", ["hourly", "halfhour"])
+def test_reference_runs_match_highs_on_full_model(request, reference, case, dsm):
+    """Without DSM no binary is left; with it only the delay choices are."""
+    sc = synth_case(case, dsm, request.getfixturevalue(f"{reference}_reference"))
+    model = assert_matches_full_model(sc).model
+    names = [model.variables[i].name for i in model.binary_ids()]
+    assert all(name.startswith("shift_") for name in names)
+    assert bool(names) == dsm
+
+
+def test_tied_prices_keep_one_grid_binary(hourly_reference):
+    """sell = buy in one interval keeps the grid and ESS binaries there only
+    (the EV is away at t = 12)."""
+    t = 12
+    sell = list(hourly_reference.tariff.sell)
+    sell[t] = hourly_reference.tariff.buy[t]
+    base = replace(hourly_reference, tariff=replace(hourly_reference.tariff, sell=tuple(sell)))
+    for case in "CD":
+        for dsm in (False, True):
+            sc = synth_case(case, dsm, base)
+            _, varmap = build_model(sc)
+            assert list(varmap.grid_mode) == [t]
+            assert list(varmap.ess.mode) == [t]
+            assert not (varmap.ev and varmap.ev.mode)
+            assert_matches_full_model(sc)
+
+
+def test_lossless_ess_keeps_every_ess_binary(hourly_reference):
+    base = replace(
+        hourly_reference, ess=replace(hourly_reference.ess, charge_eff=1.0, discharge_eff=1.0)
+    )
+    for case in "CD":
+        for dsm in (False, True):
+            sc = synth_case(case, dsm, base)
+            _, varmap = build_model(sc)
+            assert not varmap.grid_mode
+            assert list(varmap.ess.mode) == list(range(sc.grid.T))
+            assert not (varmap.ev and varmap.ev.mode)
+            assert_matches_full_model(sc)
+
+
+def test_tight_export_cap_keeps_storage_binaries(hourly_reference):
+    """With the export cap at peak PV, storage binaries stay wherever PV plus
+    every device's deliverable discharge rate could exceed it: 7 of 24
+    intervals in case C, all of them in case D."""
+    for case in "CD":
+        for dsm in (False, True):
+            sc = synth_case(case, dsm, hourly_reference)
+            sc = validate(replace(sc, big_m=(sc.big_m[0], max(sc.pv_gen))))
+            devices = [sc.ess] + ([sc.ev.storage] if sc.ev else [])
+            deliverable = sum(d.discharge_rate * d.discharge_eff for d in devices)
+            expected = [t for t in range(sc.grid.T) if sc.pv_gen[t] + deliverable > max(sc.pv_gen)]
+            _, varmap = build_model(sc)
+            assert not varmap.grid_mode
+            assert expected and list(varmap.ess.mode) == expected
+            assert_matches_full_model(sc)
+
+
+def test_low_feed_in_price_keeps_storage_binaries(monkeypatch):
+    """At a feed-in price of 0.001 cents/kWh, exporting the EV's energy
+    through a charge/discharge loop of the ESS (penalty 2e-4, 90.25 % round
+    trip) beats exporting it directly (penalty 3e-4). The price is above
+    every penalty, yet a relaxed ESS mode would take that loop."""
+    ess = StorageSpec(2.0, 2.0, 0.95, 0.95, 0.0, 6.0, 2.0)
+    ev = EVSpec(StorageSpec(3.3, 3.3, 0.9, 0.9, 0.0, 16.0, 5.0), 0, 0, False)
+    sc = make_scenario(T=1, buy=[10.0], sell=[1e-3], nd=[0.0], ess=ess, ev=ev)
+    _, varmap = build_model(sc)
+    assert not varmap.grid_mode and list(varmap.ess.mode) == [0]
+    full = assert_matches_full_model(sc).solution.objective
+
+    monkeypatch.setattr(formulation, "mode_needed", lambda sc: ([False], [False], [False]))
+    relaxed = solve_scenario(sc)
+    assert relaxed.solution.objective < full - 1e-5
+    assert not audit(sc, relaxed.schedule).family("exclusivity").passed
+
+
+@pytest.mark.parametrize("reference, count", [("hourly", 12), ("halfhour", 4)])
+def test_perturbed_households_match_highs_on_full_model(request, reference, count):
+    """Seeded DSM-on variants of the reference household, cases A-D in turn."""
+    base = request.getfixturevalue(f"{reference}_reference")
+    rng = np.random.default_rng(606)
+    for i in range(count):
+        assert_matches_full_model(synth_case("ABCD"[i % 4], True, perturbed_household(base, rng)))

@@ -99,7 +99,8 @@ def test_audit_completeness_every_mutation_caught(hourly_sweep):
 
 
 def test_audit_vs_model_residuals_agree():
-    """audit() and the MILP row/bound check agree on 100 random schedules.
+    """audit() and the MILP row/bound check of the paper's full model agree
+    on 100 random schedules.
 
     Mutations are restricted to quantities that exist as model variables
     (served_load is derived from the assignments, so the model cannot see a
@@ -109,7 +110,7 @@ def test_audit_vs_model_residuals_agree():
     agree = failures_seen = 0
     while agree < 100:
         sc = random_small_scenario(rng)
-        model, varmap = build_model(sc)
+        model, varmap = build_model(sc, full=True)
         solution = solve_milp(model)
         if solution.status != "optimal":
             continue
@@ -169,7 +170,7 @@ def test_three_interval_ess_matches_solver():
         ess=small_ess(),
         ess_end_reserve=False,
     )
-    model, _ = build_model(sc)
+    model, _ = build_model(sc, full=True)
     assert len(model.binary_ids()) == 6  # 3 grid + 3 ess modes
     obj, schedule = brute_force_optimum(sc)
     direct = solve_milp(model)
@@ -209,11 +210,10 @@ def test_oracle_agreement_random_scenarios():
     checked = 0
     while checked < 40:
         sc = random_small_scenario(rng)
-        model, _ = build_model(sc)
-        if len(model.binary_ids()) > 12:
+        if len(build_model(sc, full=True)[0].binary_ids()) > 12:
             continue
         obj, _ = brute_force_optimum(sc)
-        solution = solve_milp(model)
+        solution = solve_milp(build_model(sc)[0])
         if solution.status == "optimal":
             assert obj == pytest.approx(solution.objective, abs=1e-6 * (1 + abs(obj)))
         else:
