@@ -280,7 +280,20 @@ def test_lp_iterations_count_every_lp(monkeypatch, hourly_reference, case, dsm):
     assert r.lp_iterations == sum(iterations)
 
 
-def test_rounding_closes_the_root_without_dsm(monkeypatch, hourly_reference):
+@pytest.mark.parametrize("case", "ABCD")
+def test_rounding_closes_the_root_without_dsm(monkeypatch, hourly_reference, case):
+    """Without DSM the reference cases keep no binary: the root LP is the
+    whole solve."""
+    iterations = _record_lp_iterations(monkeypatch)
+    model, _ = build_model(synth_case(case, False, hourly_reference))
+    assert model.binary_ids() == []
+    r = solve_milp(model)
+    assert r.status == OPTIMAL
+    assert r.nodes_explored == 1
+    assert len(iterations) == 1
+
+
+def test_rounding_closes_the_root_of_a_lossless_ess(monkeypatch, hourly_reference):
     """Cost-free binaries: a rounding that keeps every row feasible costs what
     the root LP does, so the root node closes after its one LP. A lossless
     ESS keeps its 24 charge/discharge mode binaries (case C, DSM off)."""
