@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .milp import MILPModel, MILPSolution, MilpOptions, OPTIMAL, solve_milp
-from .scenario import Scenario, StorageSpec, Tariff, validate
+from .scenario import Scenario, StorageSpec, Tariff
 
 CLAMP_EPS = 1e-9  # extracted magnitudes below this are reported as zero
 
@@ -112,30 +112,36 @@ def mode_needed(sc: Scenario) -> tuple[list[bool], list[bool], list[bool]]:
     * Grid, if sell[t] < buy[t]: buying and exporting, buy eps less and turn
       eps of an export (penalty e) into own use: (sell - buy - e)*eps < 0.
     * Storage with eta = charge_eff*discharge_eff, if also
-      sell[t]*(1 - eta) > max(penalties) and pv_gen[t] plus every device's
-      deliverable rate is within the export cap: charging and discharging,
-      charge d less and discharge charge_eff*d less. The energy state is the
-      same; the device delivers eta*d less and the home needs d less. If it
-      buys, it buys (1 - eta)*d less, or d less while exporting eta*d less;
-      both gain as buy > sell. Otherwise own use (of PV or devices) equals
-      load plus charging > 0, and d of it turns into export: the device's own
-      use, gaining (sell - e)*(1 - eta)*d, or else a source s's while the
-      device exports eta*d less, gaining (sell*(1 - eta) - e_s + eta*e)*d.
-      Export has that room: it is at most pv_gen[t] plus the deliverable
-      rates minus own use. The price test also keeps the binary of a
-      lossless device (eta = 1) and wherever sell[t] <= max(penalties).
+      sell[t]*(1 - eta) > max(penalties) and pv_gen[t] plus the deliverable
+      rates of the devices present at t is within the export cap: charging
+      and discharging, charge d less and discharge charge_eff*d less. The
+      energy state is the same; the device delivers eta*d less and the home
+      needs d less. If it buys, it buys (1 - eta)*d less, or d less while
+      exporting eta*d less; both gain as buy > sell. Otherwise own use (of
+      PV or devices) equals load plus charging > 0, and d of it turns into
+      export: the device's own use, gaining (sell - e)*(1 - eta)*d, or else
+      a source s's while the device exports eta*d less, gaining
+      (sell*(1 - eta) - e_s + eta*e)*d. Export has that room: it is at most
+      pv_gen[t] plus those deliverable rates minus own use. The price test
+      also keeps the binary of a lossless device (eta = 1) and wherever
+      sell[t] <= max(penalties).
     """
+    T = sc.grid.T
     buy, sell = sc.tariff.buy, sc.tariff.sell
-    specs = (sc.ess, sc.ev.storage if sc.ev else None)
-    deliverable = sum(s.discharge_rate * s.discharge_eff for s in specs if s)
     grid = [s >= b for s, b in zip(sell, buy)]
+    specs = (sc.ess, sc.ev.storage if sc.ev else None)
+    windows = ((0, T - 1), (sc.ev.arrival, sc.ev.departure) if sc.ev else None)
+    room = list(sc.pv_gen)  # most the home can export at t
+    for spec, window in zip(specs, windows):
+        if spec:
+            for t in range(window[0], window[1] + 1):
+                room[t] += spec.discharge_rate * spec.discharge_eff
 
     def storage(spec: StorageSpec | None) -> list[bool]:
         loss = 1.0 - spec.charge_eff * spec.discharge_eff if spec else 0.0
         return [
-            grid[t] or sell[t] * loss <= max(sc.penalties)
-            or sc.pv_gen[t] + deliverable > sc.big_m[1]
-            for t in range(sc.grid.T)
+            grid[t] or sell[t] * loss <= max(sc.penalties) or room[t] > sc.caps[1]
+            for t in range(T)
         ]
 
     return grid, storage(specs[0]), storage(specs[1])
@@ -200,16 +206,15 @@ def _add_storage_block(
     return StorageVars((lo_t, hi_t), charge, discharge, used, sold, soe, mode)
 
 
-def build_model(scenario: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
-    """Compile a validated scenario into a MILP and its variable map.
+def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
+    """Compile a scenario into a MILP and its variable map.
 
     Mode binaries appear only where `mode_needed` says they can matter;
     `full=True` gives the paper's model with a mode binary everywhere.
     """
-    sc = validate(scenario)
     T = sc.grid.T
     dt = sc.grid.dt
-    n1, n2 = sc.big_m
+    n1, n2 = sc.caps
     model = MILPModel("hems_day_ahead")
     keep_grid, keep_ess, keep_ev = mode_needed(sc)
     if full:

@@ -163,10 +163,11 @@ def cost_to_mapping(
     status: str,
     nodes: int,
     lp_iterations: int,
-    case: str | None = None,
-    dsm: bool | None = None,
+    *,
+    case: str,
+    dsm: bool,
 ) -> dict:
-    out = {
+    return {
         "schema": COST_SCHEMA,
         "bill_cents": cost.bill,
         "penalty_cents": cost.penalty,
@@ -174,12 +175,9 @@ def cost_to_mapping(
         "exported_kwh": exported_kwh,
         "imported_kwh": imported_kwh,
         "solver": {"status": status, "nodes": nodes, "lp_iterations": lp_iterations},
+        "case": case,
+        "dsm": dsm,
     }
-    if case is not None:
-        out["case"] = case
-    if dsm is not None:
-        out["dsm"] = dsm
-    return out
 
 
 def write_json(mapping: dict, path) -> None:

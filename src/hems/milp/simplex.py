@@ -22,7 +22,7 @@ of phase 1 every slack gets its real range back.
 
 The basis inverse B⁻¹ is a dense m×m array, but each pivot only touches the
 part of it that the entering column w = B⁻¹a_q needs, and w is very sparse on
-the home energy models (a median of 2–5 nonzeros in 240–530 rows). FTRAN
+the home energy models (a median of 1–4 nonzeros in 144–305 rows). FTRAN
 multiplies only the columns of B⁻¹ that a_q touches; the ratio test and the
 basic-value update run over the nonzeros of w; the product-form update
 rewrites only the entries of B⁻¹ in a nonzero row of w and a nonzero column
@@ -33,10 +33,10 @@ recomputed from scratch at phase start, at every refresh and
 refactorization, and before optimality is declared. A refactorization
 inverts only the block of B that its structural columns span.
 
-Measured on a 2-vCPU x86 host, the half-hour reference root LPs (240–530
-rows) run at about 120 µs per pivot, against 240–830 µs with a dense matrix
-and BLAS rank-1 updates. When B⁻¹ fills in, as on random sparse LPs, the
-indexed update costs more per touched entry than a BLAS rank-1 update does.
+Measured on a 2-vCPU x86 host, the half-hour reference solves (144–305
+rows) take about 55–115 µs per pivot. When B⁻¹ fills in, as on random
+sparse LPs, the indexed update costs more per touched entry than a BLAS
+rank-1 update does.
 """
 
 from __future__ import annotations

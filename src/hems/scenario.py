@@ -1,16 +1,17 @@
 """Household scenario: time grid, tariffs, loads, devices and limits.
 
-Scenarios are immutable after validation and load from a versioned YAML
-document (`hems-scenario/1`, schema documented in the README). Any series
-field may be written as a full array, a scalar to broadcast, or a
-`{csv: file, column: name}` reference to a one-row-per-interval CSV.
+A Scenario validates itself and derives its grid caps on construction, and
+is immutable. It loads from a versioned YAML document (`hems-scenario/1`,
+schema documented in the README). Any series field may be written as a full
+array, a scalar to broadcast, or a `{csv: file, column: name}` reference to
+a one-row-per-interval CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import yaml
@@ -19,6 +20,7 @@ SCENARIO_SCHEMA = "hems-scenario/1"
 
 DEFAULT_PENALTIES = (1e-4, 2e-4, 3e-4)  # cents/kWh on pv/ess/ev exports
 CASES = ("A", "B", "C", "D")
+_LIMIT_KEYS = ("import_cap", "export_cap")  # the document's names for big_m
 
 
 class ScenarioError(ValueError):
@@ -79,7 +81,14 @@ class Scenario:
     ev: EVSpec | None
     pv_gen: tuple[float, ...]                  # kW per interval
     penalties: tuple[float, float, float]      # export penalties (pv, ess, ev)
-    big_m: tuple[float, float]                 # import cap, export cap (kW)
+    big_m: tuple[float | None, float | None] = (None, None)  # limits as given; None: auto
+    caps: tuple[float, float] = field(init=False)  # import, export cap (kW) in effect
+
+    def __post_init__(self) -> None:
+        validate(self)
+        auto = default_big_m(self.non_deferrable, self.appliances, self.ess, self.ev, self.pv_gen)
+        caps = tuple(a if given is None else given for given, a in zip(self.big_m, auto))
+        object.__setattr__(self, "caps", caps)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +111,13 @@ def _count(name: str, value) -> int:
     return int(f)
 
 
-def _check_series(name: str, values, T: int, nonneg: bool = True) -> tuple[float, ...]:
+def _flag(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{name}: expected true or false, got {value!r}")
+    return value
+
+
+def _check_series(name: str, values, T: int) -> tuple[float, ...]:
     if len(values) != T:
         raise ScenarioError(f"{name}: expected {T} values, got {len(values)}")
     out = []
@@ -110,7 +125,7 @@ def _check_series(name: str, values, T: int, nonneg: bool = True) -> tuple[float
         f = _number(f"{name}[{i}]", v)
         if not math.isfinite(f):
             raise ScenarioError(f"{name}[{i}]: non-finite value")
-        if nonneg and f < 0:
+        if f < 0:
             raise ScenarioError(f"{name}[{i}]: negative value {f}")
         out.append(f)
     return tuple(out)
@@ -165,9 +180,9 @@ def validate(sc: Scenario) -> Scenario:
         raise ScenarioError(
             "penalties: must be strictly increasing (pv_sold < ess_sold < ev_sold)"
         )
-    n1, n2 = sc.big_m
-    if not (n1 > 0 and n2 > 0):
-        raise ScenarioError("limits: import_cap and export_cap must be positive")
+    for key, cap in zip(_LIMIT_KEYS, sc.big_m):
+        if cap is not None and not (math.isfinite(cap) and cap > 0):
+            raise ScenarioError(f"limits.{key}: must be positive and finite, or auto")
     return sc
 
 
@@ -222,8 +237,8 @@ def read_series_csv(path) -> dict[str, list[float]]:
     return cols
 
 
-def _resolve_series(name: str, value, T: int, base_dir: Path | None):
-    """Array, scalar broadcast, or {csv:..., column:...} reference."""
+def _resolve_series(name: str, value, T: int, base_dir: Path | None) -> tuple[float, ...]:
+    """Array, scalar broadcast, or {csv:..., column:...} reference, checked."""
     if isinstance(value, dict):
         extra = set(value) - {"csv", "column"}
         if extra or "csv" not in value or "column" not in value:
@@ -235,12 +250,12 @@ def _resolve_series(name: str, value, T: int, base_dir: Path | None):
         col = value["column"]
         if col not in cols:
             raise ScenarioError(f"{name}: column {col!r} not in {path}")
-        return cols[col]
-    if isinstance(value, (int, float)):
-        return [_number(name, value)] * T
-    if isinstance(value, list):
-        return value
-    raise ScenarioError(f"{name}: expected array, scalar or csv reference")
+        value = cols[col]
+    elif isinstance(value, (int, float)):
+        value = [_number(name, value)] * T
+    elif not isinstance(value, list):
+        raise ScenarioError(f"{name}: expected array, scalar or csv reference")
+    return _check_series(name, value, T)
 
 
 def _require_keys(name: str, mapping: dict, required: set[str], optional: set[str] = frozenset()) -> None:
@@ -275,7 +290,7 @@ def _parse_storage(name: str, block: dict, soe_init_default=None) -> StorageSpec
 
 
 def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
-    """Build and validate a Scenario from a parsed document mapping."""
+    """Build a Scenario from a parsed document mapping."""
     if not isinstance(doc, dict):
         raise ScenarioError("document: expected a mapping at top level")
     if doc.get("schema") != SCENARIO_SCHEMA:
@@ -301,15 +316,13 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
 
     appliances = []
     for i, block in enumerate(doc.get("appliances", []) or []):
-        _require_keys(f"appliances[{i}]", block, {"name", "adt_hours", "profile"})
-        profile = _resolve_series(
-            f"appliances[{i}].profile", block["profile"], T, base_dir
-        )
+        where = f"appliances[{i}]"
+        _require_keys(where, block, {"name", "adt_hours", "profile"})
         appliances.append(
             ApplianceSpec(
                 name=str(block["name"]),
-                profile=_check_series(f"appliances[{i}].profile", profile, T),
-                adt_hours=_number(f"appliances[{i}].adt_hours", block["adt_hours"]),
+                profile=_resolve_series(f"{where}.profile", block["profile"], T, base_dir),
+                adt_hours=_number(f"{where}.adt_hours", block["adt_hours"]),
             )
         )
 
@@ -318,7 +331,7 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
     if doc.get("ess") is not None:
         _require_keys("ess", doc["ess"], _STORAGE_KEYS | {"soe_init"}, {"end_reserve"})
         ess = _parse_storage("ess", doc["ess"])
-        ess_end_reserve = bool(doc["ess"].get("end_reserve", True))
+        ess_end_reserve = _flag("ess.end_reserve", doc["ess"].get("end_reserve", True))
 
     ev = None
     if doc.get("ev") is not None:
@@ -336,8 +349,8 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
             storage=storage,
             arrival=_count("ev.arrival", doc["ev"]["arrival"]),
             departure=_count("ev.departure", doc["ev"]["departure"]),
-            require_full_at_departure=bool(
-                doc["ev"].get("require_full_at_departure", True)
+            require_full_at_departure=_flag(
+                "ev.require_full_at_departure", doc["ev"].get("require_full_at_departure", True)
             ),
         )
 
@@ -349,34 +362,29 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
             for key in ("pv_sold", "ess_sold", "ev_sold")
         )
 
-    nd_t = _check_series("non_deferrable", nd, T)
-    pv_t = _check_series("pv_gen", pv, T)
-    auto_n1, auto_n2 = default_big_m(nd_t, tuple(appliances), ess, ev, pv_t)
-    n1, n2 = auto_n1, auto_n2
-    if doc.get("limits") is not None:
-        _require_keys("limits", doc["limits"], set(), {"import_cap", "export_cap"})
-        raw1 = doc["limits"].get("import_cap", "auto")
-        raw2 = doc["limits"].get("export_cap", "auto")
-        n1 = auto_n1 if raw1 == "auto" else _number("limits.import_cap", raw1)
-        n2 = auto_n2 if raw2 == "auto" else _number("limits.export_cap", raw2)
+    limits = {} if doc.get("limits") is None else doc["limits"]
+    _require_keys("limits", limits, set(), set(_LIMIT_KEYS))
+    big_m = tuple(
+        None if limits.get(key, "auto") == "auto" else _number(f"limits.{key}", limits[key])
+        for key in _LIMIT_KEYS
+    )
 
-    sc = Scenario(
+    return Scenario(
         grid=grid,
-        tariff=Tariff(_check_series("tariff.buy", buy, T), _check_series("tariff.sell", sell, T)),
-        non_deferrable=nd_t,
+        tariff=Tariff(buy, sell),
+        non_deferrable=nd,
         appliances=tuple(appliances),
         ess=ess,
         ess_end_reserve=ess_end_reserve,
         ev=ev,
-        pv_gen=pv_t,
+        pv_gen=pv,
         penalties=penalties,
-        big_m=(n1, n2),
+        big_m=big_m,
     )
-    return validate(sc)
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario from a YAML file."""
+    """Load a scenario from a YAML file."""
     path = Path(path)
     try:
         with open(path) as fh:
@@ -403,7 +411,7 @@ def scenario_to_mapping(sc: Scenario) -> dict:
             "ess_sold": sc.penalties[1],
             "ev_sold": sc.penalties[2],
         },
-        "limits": {"import_cap": sc.big_m[0], "export_cap": sc.big_m[1]},
+        "limits": {key: "auto" if cap is None else cap for key, cap in zip(_LIMIT_KEYS, sc.big_m)},
     }
     if sc.ess is not None:
         doc["ess"] = {**asdict(sc.ess), "end_reserve": sc.ess_end_reserve}
@@ -429,7 +437,8 @@ def synth_case(case: str, dsm: bool, base: Scenario) -> Scenario:
     """Derive a study case from a fully-specified scenario.
 
     A keeps loads only, B adds PV, C adds the ESS, D adds the EV as well.
-    dsm=False zeroes every acceptable delay time.
+    dsm=False zeroes every acceptable delay time. Explicit limits carry over
+    to every case; auto caps follow the case's own loads and devices.
     """
     case = case.upper()
     if case not in CASES:
@@ -440,8 +449,4 @@ def synth_case(case: str, dsm: bool, base: Scenario) -> Scenario:
     appliances = base.appliances
     if not dsm:
         appliances = tuple(replace(a, adt_hours=0.0) for a in appliances)
-    n1, n2 = default_big_m(base.non_deferrable, appliances, ess, ev, pv)
-    sc = replace(
-        base, pv_gen=pv, ess=ess, ev=ev, appliances=appliances, big_m=(n1, n2)
-    )
-    return validate(sc)
+    return replace(base, pv_gen=pv, ess=ess, ev=ev, appliances=appliances)

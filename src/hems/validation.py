@@ -135,12 +135,12 @@ def _audit_storage(
         fam.eq(dev.soe[hi_t], spec.soe_max, hi_t)
 
 
-def audit(scenario: Scenario, schedule: Schedule, tol: float = AUDIT_TOL) -> AuditReport:
+def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
     """Re-evaluate every constraint family on (scenario, schedule) arithmetic."""
     sc = scenario
     T = sc.grid.T
     dt = sc.grid.dt
-    n1, n2 = sc.big_m
+    n1, n2 = sc.caps
     fams = {name: _Family(name) for name in FAMILIES}
 
     ess = schedule.ess
@@ -180,21 +180,13 @@ def audit(scenario: Scenario, schedule: Schedule, tol: float = AUDIT_TOL) -> Aud
             excl.check(min(ev.charge[t], ev.discharge[t]), 0.0, t)
 
     if sc.ess is not None and ess is not None:
-        _audit_storage(
-            fams["ess"], sc.ess, ess, (0, T - 1), dt, T, sc.ess_end_reserve, False
-        )
+        _audit_storage(fams["ess"], sc.ess, ess, (0, T - 1), dt, T, sc.ess_end_reserve, False)
     elif (sc.ess is None) != (ess is None):
         fams["ess"].check(1.0, 0.0, None)
     if sc.ev is not None and ev is not None:
+        window = (sc.ev.arrival, sc.ev.departure)
         _audit_storage(
-            fams["ev"],
-            sc.ev.storage,
-            ev,
-            (sc.ev.arrival, sc.ev.departure),
-            dt,
-            T,
-            False,
-            sc.ev.require_full_at_departure,
+            fams["ev"], sc.ev.storage, ev, window, dt, T, False, sc.ev.require_full_at_departure
         )
     elif (sc.ev is None) != (ev is None):
         fams["ev"].check(1.0, 0.0, None)
@@ -231,7 +223,8 @@ def audit(scenario: Scenario, schedule: Schedule, tol: float = AUDIT_TOL) -> Aud
     shf.eq(served_deferrable, scheduled_deferrable, None)
 
     return AuditReport(
-        families=tuple(fams[name].result(tol) for name in FAMILIES), tolerance=tol
+        families=tuple(fams[name].result(AUDIT_TOL) for name in FAMILIES),
+        tolerance=AUDIT_TOL,
     )
 
 
@@ -241,9 +234,7 @@ def audit(scenario: Scenario, schedule: Schedule, tol: float = AUDIT_TOL) -> Aud
 BRUTE_FORCE_LIMIT = 14
 
 
-def brute_force_optimum(
-    scenario: Scenario, max_binaries: int = BRUTE_FORCE_LIMIT
-) -> tuple[float, Schedule | None]:
+def brute_force_optimum(scenario: Scenario) -> tuple[float, Schedule | None]:
     """Global optimum by exhaustive enumeration of every binary fixing.
 
     Enumeration is lexicographic with strict-improvement updates, so among
@@ -253,14 +244,14 @@ def brute_force_optimum(
     Fixings that break a row made of binaries alone (or a pre-fixed bound)
     are infeasible whatever the LP does, and their LP is skipped.
     Returns (inf, None) when no fixing is feasible. Refuses scenarios with
-    more than `max_binaries` binaries.
+    more than `BRUTE_FORCE_LIMIT` binaries.
     """
     model, varmap = build_model(scenario, full=True)
     binaries = np.array(model.binary_ids(), dtype=int)
-    if len(binaries) > max_binaries:
+    if len(binaries) > BRUTE_FORCE_LIMIT:
         raise OracleSizeError(
             f"scenario compiles to {len(binaries)} binary variables, above the "
-            f"exhaustive-enumeration limit of {max_binaries} "
+            f"exhaustive-enumeration limit of {BRUTE_FORCE_LIMIT} "
             f"(model: {model.num_variables} variables, {model.num_constraints} rows)"
         )
     core = CompiledLP(model)
@@ -355,9 +346,9 @@ def diagnose_infeasibility(scenario: Scenario) -> list[str]:
             )
     if sc.ess is None and sc.ev is None and max(sc.pv_gen) == 0.0:
         peak = max(sc.non_deferrable)
-        if sc.big_m[0] < peak:
+        if sc.caps[0] < peak:
             hints.append(
-                f"grid: import cap {sc.big_m[0]} kW is below the non-deferrable "
+                f"grid: import cap {sc.caps[0]} kW is below the non-deferrable "
                 f"peak {peak} kW and no device can make up the difference"
             )
     return hints

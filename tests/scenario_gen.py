@@ -19,8 +19,6 @@ from hems.scenario import (
     StorageSpec,
     Tariff,
     TimeGrid,
-    default_big_m,
-    validate,
 )
 
 
@@ -82,22 +80,17 @@ def random_small_scenario(rng: np.random.Generator, allow_devices: bool = True) 
             full = False
         ev = EVSpec(storage, arrival, departure, require_full_at_departure=full)
 
-    nd_t = tuple(nd)
-    pv_t = tuple(pv)
-    apps = tuple(appliances)
-    sc = Scenario(
+    return Scenario(
         grid=TimeGrid(T, dt),
         tariff=Tariff(buy, sell),
-        non_deferrable=nd_t,
-        appliances=apps,
+        non_deferrable=nd,
+        appliances=tuple(appliances),
         ess=ess,
         ess_end_reserve=ess_end_reserve,
         ev=ev,
-        pv_gen=pv_t,
+        pv_gen=pv,
         penalties=(1e-4, 2e-4, 3e-4),
-        big_m=default_big_m(nd_t, apps, ess, ev, pv_t),
     )
-    return validate(sc)
 
 
 def _scaled(values, factor) -> tuple[float, ...]:
@@ -122,13 +115,10 @@ def perturbed_household(base: Scenario, rng: np.random.Generator) -> Scenario:
         )
         for app in base.appliances
     )
-    return validate(
-        replace(
-            base,
-            tariff=replace(base.tariff, buy=buy),
-            non_deferrable=nd,
-            pv_gen=pv,
-            appliances=apps,
-            big_m=default_big_m(nd, apps, base.ess, base.ev, pv),
-        )
+    return replace(
+        base,
+        tariff=replace(base.tariff, buy=buy),
+        non_deferrable=nd,
+        pv_gen=pv,
+        appliances=apps,
     )

@@ -64,7 +64,7 @@ def test_c1_oracle_equivalence():
 def test_c2_constraint_audit(hourly_sweep):
     """Every schedule of the 8-run sweep passes all seven audit families."""
     for (case, dsm), (scenario, result) in hourly_sweep.items():
-        report = audit(scenario, result.schedule, tol=TOL)
+        report = audit(scenario, result.schedule)
         assert report.passed, (case, dsm, report.to_mapping())
         assert len(report.families) == 7
     _report("2 constraint-audit", "(8 runs x 7 families)")

@@ -157,10 +157,13 @@ def _set(path: tuple, value):
         (_set(("ess", "charge_rate"), True), "ess.charge_rate"),
         (_set(("ev", "arrival"), False), "ev.arrival"),
         (_set(("tariff", "buy", 5), True), "tariff.buy[5]"),
+        (_set(("ess", "end_reserve"), "false"), "ess.end_reserve"),
+        (_set(("ev", "require_full_at_departure"), "no"), "ev.require_full_at_departure"),
     ],
     ids=["missing-key", "charge-rate", "adt-hours", "import-cap", "profile-entry",
          "fractional-intervals", "fractional-arrival", "boolean-charge-rate",
-         "boolean-arrival", "boolean-series-entry"],
+         "boolean-arrival", "boolean-series-entry", "quoted-end-reserve",
+         "quoted-full-at-departure"],
 )
 def test_solve_rejects_bad_scenario(runner, tmp_path, edit, field):
     import yaml
@@ -174,6 +177,47 @@ def test_solve_rejects_bad_scenario(runner, tmp_path, edit, field):
     result = runner.invoke(main, ["solve", str(bad), "--out", str(tmp_path / "r")])
     assert result.exit_code == 2, result.output
     assert field in result.output
+
+
+def write_limits(tmp_path: Path, limits: dict) -> Path:
+    """The hourly reference with explicit grid limits."""
+    import yaml
+
+    from hems.scenario import scenario_to_mapping
+
+    doc = scenario_to_mapping(load_scenario(HOURLY))
+    doc["limits"] = limits
+    path = tmp_path / "limited.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def test_solve_honours_explicit_limits_in_case_a(runner, tmp_path):
+    path = write_limits(tmp_path, {"import_cap": 0.5, "export_cap": 0.5})
+    result = runner.invoke(
+        main, ["solve", str(path), "--case", "A", "--dsm", "off", "--out", str(tmp_path / "r")]
+    )
+    assert result.exit_code == 1
+    assert "case=A dsm=off status=infeasible" in result.output
+    assert "hint: grid: import cap 0.5 kW" in result.output
+
+
+def test_solve_honours_import_cap_in_case_d(runner, tmp_path, hourly_sweep):
+    from test_mode_binaries import highs_optimum
+
+    path = write_limits(tmp_path, {"import_cap": 3.0})
+    out = tmp_path / "capped"
+    result = runner.invoke(main, ["solve", str(path), "--case", "D", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    capped = read_costs(out, "D_dsm")["objective_cents"]
+    assert capped > hourly_sweep[("D", True)][1].cost.objective + 1.0
+
+    result = runner.invoke(main, ["validate", str(path), str(out / "schedule_D_dsm.csv")])
+    assert result.exit_code == 0, result.output
+    sc = synth_case("D", True, load_scenario(path))
+    assert sc.caps[0] == 3.0
+    full = highs_optimum(build_model(sc, full=True)[0])
+    assert capped == pytest.approx(full, abs=1e-6 * (1 + abs(full)))
 
 
 def test_sweep_summary_and_determinism(runner, tmp_path):

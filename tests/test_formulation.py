@@ -20,9 +20,7 @@ from hems.scenario import (
     StorageSpec,
     Tariff,
     TimeGrid,
-    default_big_m,
     synth_case,
-    validate,
 )
 
 from scenario_gen import random_small_scenario
@@ -40,28 +38,23 @@ def make_scenario(
     ev=None,
     pv=None,
     penalties=(1e-4, 2e-4, 3e-4),
-    big_m=None,
+    big_m=(None, None),
 ):
     buy = tuple(buy if buy is not None else [10.0] * T)
     sell = tuple(sell if sell is not None else [3.0] * T)
     nd = tuple(nd if nd is not None else [1.0] * T)
     pv = tuple(pv if pv is not None else [0.0] * T)
-    appliances = tuple(appliances)
-    if big_m is None:
-        big_m = default_big_m(nd, appliances, ess, ev, pv)
-    return validate(
-        Scenario(
-            grid=TimeGrid(T, dt),
-            tariff=Tariff(buy, sell),
-            non_deferrable=nd,
-            appliances=appliances,
-            ess=ess,
-            ess_end_reserve=ess_end_reserve,
-            ev=ev,
-            pv_gen=pv,
-            penalties=penalties,
-            big_m=big_m,
-        )
+    return Scenario(
+        grid=TimeGrid(T, dt),
+        tariff=Tariff(buy, sell),
+        non_deferrable=nd,
+        appliances=tuple(appliances),
+        ess=ess,
+        ess_end_reserve=ess_end_reserve,
+        ev=ev,
+        pv_gen=pv,
+        penalties=penalties,
+        big_m=big_m,
     )
 
 
@@ -350,14 +343,7 @@ def test_pv_monotonicity_random():
         if base.schedule is None:
             continue
         bumped_pv = tuple(p + float(rng.uniform(0, 1.5)) for p in sc.pv_gen)
-        sc2 = validate(
-            replace(
-                sc,
-                pv_gen=bumped_pv,
-                big_m=default_big_m(sc.non_deferrable, sc.appliances, sc.ess, sc.ev, bumped_pv),
-            )
-        )
-        more = solve_scenario(sc2)
+        more = solve_scenario(replace(sc, pv_gen=bumped_pv))
         assert more.cost.objective <= base.cost.objective + 1e-6
         tried += 1
 

@@ -15,7 +15,7 @@ import pytest
 import hems.formulation as formulation
 from hems.formulation import build_model, solve_scenario
 from hems.milp import OPTIMAL, MILPModel
-from hems.scenario import EVSpec, StorageSpec, synth_case, validate
+from hems.scenario import EVSpec, StorageSpec, synth_case
 from hems.validation import audit
 
 from scenario_gen import perturbed_household
@@ -105,18 +105,22 @@ def test_lossless_ess_keeps_every_ess_binary(hourly_reference):
 
 def test_tight_export_cap_keeps_storage_binaries(hourly_reference):
     """With the export cap at peak PV, storage binaries stay wherever PV plus
-    every device's deliverable discharge rate could exceed it: 7 of 24
-    intervals in case C, all of them in case D."""
-    for case in "CD":
+    the deliverable discharge rates of the devices present could exceed it:
+    7 of 24 intervals in case C, 19 in case D (the EV counts only while it is
+    home)."""
+    base = replace(hourly_reference, big_m=(None, max(hourly_reference.pv_gen)))
+    for case, count in (("C", 7), ("D", 19)):
         for dsm in (False, True):
-            sc = synth_case(case, dsm, hourly_reference)
-            sc = validate(replace(sc, big_m=(sc.big_m[0], max(sc.pv_gen))))
-            devices = [sc.ess] + ([sc.ev.storage] if sc.ev else [])
-            deliverable = sum(d.discharge_rate * d.discharge_eff for d in devices)
-            expected = [t for t in range(sc.grid.T) if sc.pv_gen[t] + deliverable > max(sc.pv_gen)]
+            sc = synth_case(case, dsm, base)
+            ess_rate = sc.ess.discharge_rate * sc.ess.discharge_eff
+            room = [pv + ess_rate for pv in sc.pv_gen]
+            if sc.ev:
+                for t in range(sc.ev.arrival, sc.ev.departure + 1):
+                    room[t] += sc.ev.storage.discharge_rate * sc.ev.storage.discharge_eff
+            expected = [t for t in range(sc.grid.T) if room[t] > max(sc.pv_gen)]
             _, varmap = build_model(sc)
             assert not varmap.grid_mode
-            assert expected and list(varmap.ess.mode) == expected
+            assert len(expected) == count and list(varmap.ess.mode) == expected
             assert_matches_full_model(sc)
 
 

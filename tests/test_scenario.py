@@ -1,3 +1,7 @@
+import math
+import re
+from dataclasses import replace
+
 import pytest
 import yaml
 
@@ -130,16 +134,53 @@ def test_big_m_auto_computation():
         "soe_init": 2.0,
     }
     sc = parse_scenario(doc)
-    assert sc.big_m[0] == pytest.approx(3.0 + 2.0)        # peak load + charge rate
-    assert sc.big_m[1] == pytest.approx(2.0 + 1.0 * 0.9)  # peak pv + deliverable discharge
+    assert sc.big_m == (None, None)
+    assert sc.caps[0] == pytest.approx(3.0 + 2.0)        # peak load + charge rate
+    assert sc.caps[1] == pytest.approx(2.0 + 1.0 * 0.9)  # peak pv + deliverable discharge
 
 
 def test_explicit_limits_override():
     doc = minimal_doc()
     doc["limits"] = {"import_cap": 2.5, "export_cap": "auto"}
     sc = parse_scenario(doc)
-    assert sc.big_m[0] == 2.5
-    assert sc.big_m[1] == 1.0  # floor when nothing can export
+    assert sc.big_m == (2.5, None)
+    assert sc.caps == (2.5, 1.0)  # export floor when nothing can export
+
+
+def test_limits_round_trip_as_given(tmp_path, hourly_reference):
+    path = tmp_path / "roundtrip.yaml"
+    save_scenario(hourly_reference, path)
+    assert yaml.safe_load(path.read_text())["limits"] == {
+        "import_cap": "auto", "export_cap": "auto"
+    }
+    explicit = replace(hourly_reference, big_m=(3.0, None))
+    save_scenario(explicit, path)
+    assert yaml.safe_load(path.read_text())["limits"] == {"import_cap": 3.0, "export_cap": "auto"}
+    assert load_scenario(path) == explicit
+
+
+def test_explicit_limits_reach_every_case(hourly_reference):
+    assert synth_case("A", False, hourly_reference).caps == pytest.approx((3.6, 1.0))
+    limited = replace(hourly_reference, big_m=(2.0, None))
+    for case, export_cap in zip("ABCD", (1.0, 4.0, 5.9, 8.87)):
+        sc = synth_case(case, True, limited)
+        assert sc.big_m == (2.0, None)
+        assert sc.caps == pytest.approx((2.0, export_cap))
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"penalties": (3e-4, 2e-4, 1e-4)}, "penalties"),
+        ({"big_m": (0.0, None)}, "limits.import_cap"),
+        ({"big_m": (None, math.inf)}, "limits.export_cap"),
+        ({"non_deferrable": (1.0, -1.0)}, "non_deferrable[1]"),
+    ],
+)
+def test_scenario_validates_on_construction(change, field):
+    sc = parse_scenario(minimal_doc(T=2))
+    with pytest.raises(ScenarioError, match=re.escape(field)):
+        replace(sc, **change)
 
 
 def test_round_trip_file(tmp_path, halfhour_reference):
@@ -217,8 +258,6 @@ def test_synth_case_rejects_unknown():
 
 
 def test_zero_pv_case_b_equals_case_a(hourly_reference):
-    from dataclasses import replace
-
     from hems.formulation import solve_scenario
 
     zero_pv = replace(hourly_reference, pv_gen=(0.0,) * hourly_reference.grid.T)

@@ -6,7 +6,7 @@ import pytest
 
 from hems.formulation import build_model, solve_scenario
 from hems.milp import solve_milp
-from hems.scenario import ApplianceSpec, StorageSpec, synth_case, validate
+from hems.scenario import ApplianceSpec, StorageSpec, synth_case
 from hems.validation import (
     OracleSizeError,
     audit,
