@@ -48,36 +48,56 @@ class VarMap:
     shift: dict[int, dict[int, tuple[tuple[int, int], ...]]]
 
 
-@dataclass(eq=False)
+def _row(i: int) -> property:
+    """Row i of `series`, as a view: element writes go through to it."""
+    return property(lambda self: self.series[i])
+
+
+@dataclass(eq=False, slots=True, init=False)
 class DeviceSchedule:
-    charge: np.ndarray
-    discharge: np.ndarray
-    used: np.ndarray
-    sold: np.ndarray
-    soe: np.ndarray
+    """Charge, discharge, used, sold (kW) and soe (kWh) of one storage device,
+    held as the rows of one (5, T) array."""
+
+    series: np.ndarray
+
+    def __init__(self, charge, discharge, used, sold, soe):
+        self.series = np.array([charge, discharge, used, sold, soe], dtype=float)
+
+    charge = _row(0)
+    discharge = _row(1)
+    used = _row(2)
+    sold = _row(3)
+    soe = _row(4)
 
     @classmethod
     def zeros(cls, T: int) -> "DeviceSchedule":
-        return cls(*(np.zeros(T) for _ in range(5)))
+        return cls(*np.zeros((5, T)))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True, init=False)
 class Schedule:
     """Physical quantities of a solved day, all length-T arrays in kW except
-    soe (kWh). `shifts` maps appliance name -> {source interval: destination}
-    for every source with nonzero scheduled load."""
+    soe (kWh); grid_buy, grid_sell, pv_used, pv_sold and served_load are the
+    rows of one (5, T) array. `shifts` maps appliance name -> {source
+    interval: destination} for every source with nonzero scheduled load."""
 
-    grid_buy: np.ndarray
-    grid_sell: np.ndarray
-    pv_used: np.ndarray
-    pv_sold: np.ndarray
-    served_load: np.ndarray
+    series: np.ndarray
     ess: DeviceSchedule | None
     ev: DeviceSchedule | None
     shifts: dict[str, dict[int, int]]
 
+    def __init__(self, grid_buy, grid_sell, pv_used, pv_sold, served_load, ess, ev, shifts):
+        self.series = np.array([grid_buy, grid_sell, pv_used, pv_sold, served_load], dtype=float)
+        self.ess, self.ev, self.shifts = ess, ev, shifts
 
-@dataclass(frozen=True)
+    grid_buy = _row(0)
+    grid_sell = _row(1)
+    pv_used = _row(2)
+    pv_sold = _row(3)
+    served_load = _row(4)
+
+
+@dataclass(frozen=True, slots=True)
 class CostBreakdown:
     bill: float       # cents: purchases minus sale revenue
     penalty: float    # cents: export-priority penalties
@@ -127,11 +147,11 @@ def mode_needed(sc: Scenario) -> tuple[list[bool], list[bool], list[bool]]:
       sell[t] <= max(penalties).
     """
     T = sc.grid.T
-    buy, sell = sc.tariff.buy, sc.tariff.sell
+    buy, sell = sc.tariff.buy.tolist(), sc.tariff.sell.tolist()
     grid = [s >= b for s, b in zip(sell, buy)]
     specs = (sc.ess, sc.ev.storage if sc.ev else None)
     windows = ((0, T - 1), (sc.ev.arrival, sc.ev.departure) if sc.ev else None)
-    room = list(sc.pv_gen)  # most the home can export at t
+    room = sc.pv_gen.tolist()  # most the home can export at t
     for spec, window in zip(specs, windows):
         if spec:
             for t in range(window[0], window[1] + 1):
@@ -215,6 +235,7 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
     T = sc.grid.T
     dt = sc.grid.dt
     n1, n2 = sc.caps
+    buy, sell, pv_gen = sc.tariff.buy.tolist(), sc.tariff.sell.tolist(), sc.pv_gen.tolist()
     model = MILPModel("hems_day_ahead")
     keep_grid, keep_ess, keep_ev = mode_needed(sc)
     if full:
@@ -227,12 +248,8 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
         for t in range(T)
         if keep_grid[t]
     }
-    pv_used = tuple(
-        model.add_continuous(f"pv_used_{t}", 0.0, sc.pv_gen[t]) for t in range(T)
-    )
-    pv_sold = tuple(
-        model.add_continuous(f"pv_sold_{t}", 0.0, sc.pv_gen[t]) for t in range(T)
-    )
+    pv_used = tuple(model.add_continuous(f"pv_used_{t}", 0.0, pv_gen[t]) for t in range(T))
+    pv_sold = tuple(model.add_continuous(f"pv_sold_{t}", 0.0, pv_gen[t]) for t in range(T))
 
     ess = (
         _add_storage_block(model, "ess", sc.ess, (0, T - 1), dt, keep_ess)
@@ -251,23 +268,24 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
     # destination) pair; sources with zero scheduled load or zero delay
     # allowance need no variables.
     shift: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
-    fixed_load = list(sc.non_deferrable)
+    fixed_load = sc.non_deferrable.tolist()
     incoming: list[list[tuple[int, float]]] = [[] for _ in range(T)]
     for ai, app in enumerate(sc.appliances):
         adt = app.adt_intervals(dt)
+        profile = app.profile.tolist()
         if adt == 0:
             for t in range(T):
-                fixed_load[t] += app.profile[t]
+                fixed_load[t] += profile[t]
             continue
         per_src: dict[int, tuple[tuple[int, int], ...]] = {}
         for src in range(T):
-            if app.profile[src] <= 0.0:
+            if profile[src] <= 0.0:
                 continue
             choices = []
             for dst in shift_destinations(T, src, adt):
                 vid = model.add_binary(f"shift_{app.name}_{src}_{dst}")
                 choices.append((dst, vid))
-                incoming[dst].append((vid, app.profile[src]))
+                incoming[dst].append((vid, profile[src]))
             per_src[src] = tuple(choices)
             model.add_constraint(
                 [(vid, 1.0) for _, vid in choices],
@@ -289,7 +307,7 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
 
         # PV energy conservation.
         model.add_constraint(
-            [(pv_used[t], 1.0), (pv_sold[t], 1.0)], "=", sc.pv_gen[t], f"pv_balance_{t}"
+            [(pv_used[t], 1.0), (pv_sold[t], 1.0)], "=", pv_gen[t], f"pv_balance_{t}"
         )
 
         # Total export aggregation.
@@ -316,8 +334,8 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
     e1, e2, e3 = sc.penalties
     obj: list[tuple[int, float]] = []
     for t in range(T):
-        obj.append((grid_buy[t], sc.tariff.buy[t] * dt))
-        obj.append((grid_sell[t], -sc.tariff.sell[t] * dt))
+        obj.append((grid_buy[t], buy[t] * dt))
+        obj.append((grid_sell[t], -sell[t] * dt))
         obj.append((pv_sold[t], e1 * dt))
         if ess is not None:
             obj.append((ess.sold[t], e2 * dt))
@@ -337,22 +355,18 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
     )
 
 
-def _clamp(values: np.ndarray) -> np.ndarray:
-    out = np.asarray(values, dtype=float).copy()
-    out[np.abs(out) < CLAMP_EPS] = 0.0
-    return out
+def _clamp(series: np.ndarray) -> None:
+    """Report magnitudes below CLAMP_EPS as zero, in place."""
+    series[np.abs(series) < CLAMP_EPS] = 0.0
 
 
 def _extract_device(vars_: StorageVars, values: np.ndarray, T: int) -> DeviceSchedule:
     dev = DeviceSchedule.zeros(T)
-    for t in range(vars_.window[0], vars_.window[1] + 1):
-        dev.charge[t] = values[vars_.charge[t]]
-        dev.discharge[t] = values[vars_.discharge[t]]
-        dev.used[t] = values[vars_.used[t]]
-        dev.sold[t] = values[vars_.sold[t]]
-        dev.soe[t] = values[vars_.soe[t]]
-    for name in ("charge", "discharge", "used", "sold", "soe"):
-        setattr(dev, name, _clamp(getattr(dev, name)))
+    lo, hi = vars_.window
+    quantities = (vars_.charge, vars_.discharge, vars_.used, vars_.sold, vars_.soe)
+    for row, ids in zip(dev.series, quantities):
+        row[lo:hi + 1] = values[list(ids.values())]
+    _clamp(dev.series)
     return dev
 
 
@@ -368,32 +382,33 @@ def schedule_from_values(
     T = sc.grid.T
 
     shifts: dict[str, dict[int, int]] = {}
-    served = np.array(sc.non_deferrable, dtype=float)
+    served = sc.non_deferrable.tolist()
     for ai, app in enumerate(sc.appliances):
         adt = app.adt_intervals(sc.grid.dt)
+        profile = app.profile.tolist()
         assign: dict[int, int] = {}
         if adt == 0 or ai not in varmap.shift:
             for src in range(T):
-                if app.profile[src] > 0.0:
+                if profile[src] > 0.0:
                     assign[src] = src
-                    served[src] += app.profile[src]
+                    served[src] += profile[src]
         else:
             for src, choices in varmap.shift[ai].items():
                 dst = max(choices, key=lambda c: values[c[1]])[0]
                 assign[src] = dst
-                served[dst] += app.profile[src]
+                served[dst] += profile[src]
         shifts[app.name] = assign
 
-    return Schedule(
-        grid_buy=_clamp(values[list(varmap.grid_buy)]),
-        grid_sell=_clamp(values[list(varmap.grid_sell)]),
-        pv_used=_clamp(values[list(varmap.pv_used)]),
-        pv_sold=_clamp(values[list(varmap.pv_sold)]),
-        served_load=_clamp(served),
+    flows = values[[*varmap.grid_buy, *varmap.grid_sell, *varmap.pv_used, *varmap.pv_sold]]
+    schedule = Schedule(
+        *flows.reshape(4, T),
+        served_load=served,
         ess=_extract_device(varmap.ess, values, T) if varmap.ess else None,
         ev=_extract_device(varmap.ev, values, T) if varmap.ev else None,
         shifts=shifts,
     )
+    _clamp(schedule.series)
+    return schedule
 
 
 def extract_schedule(
@@ -415,9 +430,9 @@ def compute_cost(
     T = len(schedule.grid_buy)
     if len(tariff.buy) != T or len(tariff.sell) != T:
         raise ValueError(f"tariff length {len(tariff.buy)} does not match schedule length {T}")
-    buy = np.asarray(tariff.buy)
-    sell = np.asarray(tariff.sell)
-    bill = float(np.sum(schedule.grid_buy * buy * dt) - np.sum(schedule.grid_sell * sell * dt))
+    bill = float(
+        np.sum(schedule.grid_buy * tariff.buy * dt) - np.sum(schedule.grid_sell * tariff.sell * dt)
+    )
     e1, e2, e3 = penalties
     penalty = float(np.sum(e1 * schedule.pv_sold * dt))
     if schedule.ess is not None:

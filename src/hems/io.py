@@ -59,17 +59,14 @@ def schedule_to_csv(
     columns = _BASE_COLUMNS + [_shift_column(n) for n in app_names]
     ess = schedule.ess or DeviceSchedule.zeros(T)
     ev = schedule.ev or DeviceSchedule.zeros(T)
-    with open(path, "w", newline="") as fh:
+    table = np.vstack([schedule.series, ess.series, ev.series]).T.tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema: {SCHEDULE_SCHEMA}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        series = [schedule.grid_buy, schedule.grid_sell, schedule.pv_used, schedule.pv_sold,
-                  schedule.served_load]
-        for dev in (ess, ev):
-            series += [dev.charge, dev.discharge, dev.used, dev.sold, dev.soe]
-        for t in range(T):
+        for t, values in enumerate(table):
             row = [str(t), _fmt((origin_hour + t * dt) % 24.0)]
-            row += [_fmt(values[t]) for values in series]
+            row += [_fmt(v) for v in values]
             for name in app_names:
                 dst = schedule.shifts.get(name, {}).get(t)
                 row.append("" if dst is None else str(dst))
@@ -83,33 +80,35 @@ def schedule_from_csv(path, scenario: Scenario) -> Schedule:
     app_names = [a.name for a in scenario.appliances]
     expected = _BASE_COLUMNS + [_shift_column(n) for n in app_names]
 
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        if first != f"# schema: {SCHEDULE_SCHEMA}":
-            raise ScheduleCSVError(f"{path}: line 1: expected '# schema: {SCHEDULE_SCHEMA}'")
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise ScheduleCSVError(
-                f"{path}: line 2: header mismatch, expected {expected}, got {header}"
-            )
-        rows = []
-        for row in reader:
-            if len(row) != len(expected):
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            first = fh.readline().strip()
+            if first != f"# schema: {SCHEDULE_SCHEMA}":
+                raise ScheduleCSVError(f"{path}: line 1: expected '# schema: {SCHEDULE_SCHEMA}'")
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != expected:
                 raise ScheduleCSVError(
-                    f"{path}: line {reader.line_num + 1}: expected {len(expected)} "
-                    f"fields, got {len(row)}"
+                    f"{path}: line 2: header mismatch, expected {expected}, got {header}"
                 )
-            rows.append((reader.line_num + 1, row))
+            rows = []
+            for row in reader:
+                if len(row) != len(expected):
+                    raise ScheduleCSVError(
+                        f"{path}: line {reader.line_num + 1}: expected {len(expected)} "
+                        f"fields, got {len(row)}"
+                    )
+                rows.append((reader.line_num + 1, row))
+    except UnicodeDecodeError as exc:
+        raise ScheduleCSVError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     if len(rows) != T:
         raise ScheduleCSVError(
             f"{path}: expected {T} interval rows for this scenario, got {len(rows)}"
         )
 
-    def col(name: str) -> int:
-        return expected.index(name)
-
-    arrays = {name: np.zeros(T) for name in _BASE_COLUMNS[2:]}
+    quantities = _BASE_COLUMNS[2:]
+    first_shift = len(_BASE_COLUMNS)
+    numbers: list[float] = []
     shifts: dict[str, dict[int, int]] = {name: {} for name in app_names}
     for t, (line_num, row) in enumerate(rows):
         try:
@@ -120,16 +119,14 @@ def schedule_from_csv(path, scenario: Scenario) -> Schedule:
             raise ScheduleCSVError(
                 f"{path}: line {line_num}: expected interval {t}, got {interval}"
             )
-        for name in _BASE_COLUMNS[2:]:
-            raw = row[col(name)]
+        for name, raw in zip(quantities, row[2:first_shift]):
             try:
-                arrays[name][t] = float(raw)
+                numbers.append(float(raw))
             except ValueError as exc:
                 raise ScheduleCSVError(
                     f"{path}: line {line_num}: bad number {raw!r} in column {name}"
                 ) from exc
-        for app in app_names:
-            raw = row[col(_shift_column(app))]
+        for app, raw in zip(app_names, row[first_shift:]):
             if raw == "":
                 continue
             try:
@@ -139,19 +136,12 @@ def schedule_from_csv(path, scenario: Scenario) -> Schedule:
                     f"{path}: line {line_num}: bad destination {raw!r} for {app}"
                 ) from exc
 
-    def device(prefix: str, present: bool) -> DeviceSchedule | None:
-        if not present:
-            return None
-        return DeviceSchedule(*(arrays[f"{prefix}_{column}"] for column in _DEVICE_COLUMNS))
-
+    # One row per quantity: the household's five, then the ESS's, then the EV's.
+    table = np.array(numbers).reshape(T, len(quantities)).T
     return Schedule(
-        grid_buy=arrays["grid_buy_kw"],
-        grid_sell=arrays["grid_sell_kw"],
-        pv_used=arrays["pv_used_kw"],
-        pv_sold=arrays["pv_sold_kw"],
-        served_load=arrays["served_load_kw"],
-        ess=device("ess", scenario.ess is not None),
-        ev=device("ev", scenario.ev is not None),
+        *table[:5],
+        ess=DeviceSchedule(*table[5:10]) if scenario.ess is not None else None,
+        ev=DeviceSchedule(*table[10:]) if scenario.ev is not None else None,
         shifts=shifts,
     )
 

@@ -1,19 +1,21 @@
 """Household scenario: time grid, tariffs, loads, devices and limits.
 
 A Scenario validates itself and derives its grid caps on construction, and
-is immutable. It loads from a versioned YAML document (`hems-scenario/1`,
-schema documented in the README). Any series field may be written as a full
-array, a scalar to broadcast, or a `{csv: file, column: name}` reference to
-a one-row-per-interval CSV.
+is immutable: its series are read-only float64 arrays. It loads from a
+versioned YAML document (`hems-scenario/1`, schema documented in the README),
+parsed by libyaml. Any series field may be written as a full array, a scalar
+to broadcast, or a `{csv: file, column: name}` reference to a
+one-row-per-interval CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 SCENARIO_SCHEMA = "hems-scenario/1"
@@ -27,23 +29,61 @@ class ScenarioError(ValueError):
     """Raised for unparseable or invalid scenario documents."""
 
 
-@dataclass(frozen=True)
+def _series(name: str, values) -> np.ndarray:
+    """A read-only float64 copy of `values`; each element of a sequence must
+    be a number (a bool is not)."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        values = [_number(f"{name}[{i}]", v) for i, v in enumerate(values)]
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+class _HoldsSeries:
+    """Base of the dataclasses with series fields: == compares fields, arrays
+    by value, and they are not hashable. Copies and unpickled objects are
+    rebuilt through the constructor, so their series stay read-only."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
+
+
+@dataclass(frozen=True, slots=True)
 class TimeGrid:
     T: int
     dt: float  # hours per interval
 
 
-@dataclass(frozen=True)
-class Tariff:
-    buy: tuple[float, ...]   # cents/kWh
-    sell: tuple[float, ...]  # cents/kWh
+@dataclass(frozen=True, slots=True, eq=False)
+class Tariff(_HoldsSeries):
+    buy: np.ndarray   # cents/kWh
+    sell: np.ndarray  # cents/kWh
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "buy", _series("tariff.buy", self.buy))
+        object.__setattr__(self, "sell", _series("tariff.sell", self.sell))
 
 
-@dataclass(frozen=True)
-class ApplianceSpec:
+@dataclass(frozen=True, slots=True, eq=False)
+class ApplianceSpec(_HoldsSeries):
     name: str
-    profile: tuple[float, ...]  # kW per interval as normally scheduled
-    adt_hours: float            # acceptable delay time
+    profile: np.ndarray  # kW per interval as normally scheduled
+    adt_hours: float     # acceptable delay time
+
+    def __post_init__(self) -> None:
+        profile = _series(f"appliances.{self.name}.profile", self.profile)
+        object.__setattr__(self, "profile", profile)
 
     def adt_intervals(self, dt: float) -> int:
         # floor() so the delay never exceeds the stated tolerance; the tiny
@@ -51,7 +91,7 @@ class ApplianceSpec:
         return int(math.floor(self.adt_hours / dt + 1e-9))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StorageSpec:
     charge_rate: float      # kW
     discharge_rate: float   # kW
@@ -62,7 +102,7 @@ class StorageSpec:
     soe_init: float         # kWh, stored energy just before the horizon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EVSpec:
     storage: StorageSpec
     arrival: int             # first interval of presence
@@ -70,21 +110,23 @@ class EVSpec:
     require_full_at_departure: bool = True
 
 
-@dataclass(frozen=True)
-class Scenario:
+@dataclass(frozen=True, slots=True, eq=False)
+class Scenario(_HoldsSeries):
     grid: TimeGrid
     tariff: Tariff
-    non_deferrable: tuple[float, ...]          # kW per interval
+    non_deferrable: np.ndarray                 # kW per interval
     appliances: tuple[ApplianceSpec, ...]
     ess: StorageSpec | None
     ess_end_reserve: bool                      # require end SOE >= soe_init
     ev: EVSpec | None
-    pv_gen: tuple[float, ...]                  # kW per interval
+    pv_gen: np.ndarray                         # kW per interval
     penalties: tuple[float, float, float]      # export penalties (pv, ess, ev)
     big_m: tuple[float | None, float | None] = (None, None)  # limits as given; None: auto
     caps: tuple[float, float] = field(init=False)  # import, export cap (kW) in effect
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "non_deferrable", _series("non_deferrable", self.non_deferrable))
+        object.__setattr__(self, "pv_gen", _series("pv_gen", self.pv_gen))
         validate(self)
         auto = default_big_m(self.non_deferrable, self.appliances, self.ess, self.ev, self.pv_gen)
         caps = tuple(a if given is None else given for given, a in zip(self.big_m, auto))
@@ -117,18 +159,16 @@ def _flag(name: str, value) -> bool:
     return value
 
 
-def _check_series(name: str, values, T: int) -> tuple[float, ...]:
-    if len(values) != T:
-        raise ScenarioError(f"{name}: expected {T} values, got {len(values)}")
-    out = []
-    for i, v in enumerate(values):
-        f = _number(f"{name}[{i}]", v)
+def _check_series(name: str, values: np.ndarray, T: int) -> None:
+    if values.shape != (T,):
+        raise ScenarioError(f"{name}: expected {T} values, got {values.size}")
+    bad = ~np.isfinite(values) | (values < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        f = float(values[i])
         if not math.isfinite(f):
             raise ScenarioError(f"{name}[{i}]: non-finite value")
-        if f < 0:
-            raise ScenarioError(f"{name}[{i}]: negative value {f}")
-        out.append(f)
-    return tuple(out)
+        raise ScenarioError(f"{name}[{i}]: negative value {f}")
 
 
 def _check_storage(name: str, s: StorageSpec) -> None:
@@ -187,20 +227,17 @@ def validate(sc: Scenario) -> Scenario:
 
 
 def default_big_m(
-    non_deferrable: tuple[float, ...],
+    non_deferrable,
     appliances: tuple[ApplianceSpec, ...],
     ess: StorageSpec | None,
     ev: EVSpec | None,
-    pv_gen: tuple[float, ...],
+    pv_gen,
 ) -> tuple[float, float]:
     """Tightest safe caps: peak scheduled demand plus every charge rate on the
     import side; peak PV plus every deliverable discharge rate on export."""
-    T = len(non_deferrable)
-    peak_load = max(
-        non_deferrable[t] + sum(a.profile[t] for a in appliances) for t in range(T)
-    )
-    n1 = peak_load
-    n2 = max(pv_gen) if pv_gen else 0.0
+    deferrable = sum((np.asarray(a.profile) for a in appliances), 0.0)
+    n1 = float(np.max(np.asarray(non_deferrable) + deferrable))
+    n2 = float(np.max(pv_gen)) if len(pv_gen) else 0.0
     if ess is not None:
         n1 += ess.charge_rate
         n2 += ess.discharge_rate * ess.discharge_eff
@@ -216,29 +253,35 @@ def default_big_m(
 def read_series_csv(path) -> dict[str, list[float]]:
     """Read a one-row-per-interval CSV (header line) into column lists."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ScenarioError(f"{path}: empty CSV")
-        cols: dict[str, list[float]] = {name: [] for name in reader.fieldnames}
-        for row in reader:
-            for name in reader.fieldnames:
-                raw = row.get(name)
-                if raw is None or raw == "":
-                    raise ScenarioError(
-                        f"{path}: line {reader.line_num}: missing value for {name!r}"
-                    )
-                try:
-                    cols[name].append(float(raw))
-                except ValueError as exc:
-                    raise ScenarioError(
-                        f"{path}: line {reader.line_num}: bad number {raw!r} for {name!r}"
-                    ) from exc
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ScenarioError(f"{path}: empty CSV")
+            cols: dict[str, list[float]] = {name: [] for name in reader.fieldnames}
+            for row in reader:
+                for name in reader.fieldnames:
+                    raw = row.get(name)
+                    if raw is None or raw == "":
+                        raise ScenarioError(
+                            f"{path}: line {reader.line_num}: missing value for {name!r}"
+                        )
+                    try:
+                        cols[name].append(float(raw))
+                    except ValueError as exc:
+                        raise ScenarioError(
+                            f"{path}: line {reader.line_num}: bad number {raw!r} for {name!r}"
+                        ) from exc
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     return cols
 
 
-def _resolve_series(name: str, value, T: int, base_dir: Path | None) -> tuple[float, ...]:
-    """Array, scalar broadcast, or {csv:..., column:...} reference, checked."""
+def _resolve_series(name: str, value, T: int, base_dir: Path | None) -> np.ndarray:
+    """Array, scalar broadcast, or {csv:..., column:...} reference, each
+    element checked to be a number; the Scenario checks the rest."""
     if isinstance(value, dict):
         extra = set(value) - {"csv", "column"}
         if extra or "csv" not in value or "column" not in value:
@@ -246,16 +289,19 @@ def _resolve_series(name: str, value, T: int, base_dir: Path | None) -> tuple[fl
         path = Path(value["csv"])
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
-        cols = read_series_csv(path)
+        try:
+            cols = read_series_csv(path)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{name}: {exc}") from exc
         col = value["column"]
         if col not in cols:
             raise ScenarioError(f"{name}: column {col!r} not in {path}")
         value = cols[col]
     elif isinstance(value, (int, float)):
-        value = [_number(name, value)] * T
+        value = np.full(T, _number(name, value))
     elif not isinstance(value, list):
         raise ScenarioError(f"{name}: expected array, scalar or csv reference")
-    return _check_series(name, value, T)
+    return _series(name, value)
 
 
 def _require_keys(name: str, mapping: dict, required: set[str], optional: set[str] = frozenset()) -> None:
@@ -387,8 +433,7 @@ def load_scenario(path) -> Scenario:
     """Load a scenario from a YAML file."""
     path = Path(path)
     try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
+        doc = yaml.load(path.read_bytes(), Loader=yaml.CSafeLoader)  # libyaml
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: YAML parse error: {exc}") from exc
     return parse_scenario(doc, base_dir=path.parent)
@@ -399,11 +444,11 @@ def scenario_to_mapping(sc: Scenario) -> dict:
     doc: dict = {
         "schema": SCENARIO_SCHEMA,
         "grid": {"intervals": sc.grid.T, "interval_hours": sc.grid.dt},
-        "tariff": {"buy": list(sc.tariff.buy), "sell": list(sc.tariff.sell)},
-        "non_deferrable": list(sc.non_deferrable),
-        "pv_gen": list(sc.pv_gen),
+        "tariff": {"buy": sc.tariff.buy.tolist(), "sell": sc.tariff.sell.tolist()},
+        "non_deferrable": sc.non_deferrable.tolist(),
+        "pv_gen": sc.pv_gen.tolist(),
         "appliances": [
-            {"name": a.name, "adt_hours": a.adt_hours, "profile": list(a.profile)}
+            {"name": a.name, "adt_hours": a.adt_hours, "profile": a.profile.tolist()}
             for a in sc.appliances
         ],
         "penalties": {
@@ -443,7 +488,7 @@ def synth_case(case: str, dsm: bool, base: Scenario) -> Scenario:
     case = case.upper()
     if case not in CASES:
         raise ScenarioError(f"case: expected one of {CASES}, got {case!r}")
-    pv = base.pv_gen if case != "A" else tuple(0.0 for _ in base.pv_gen)
+    pv = base.pv_gen if case != "A" else np.zeros(base.grid.T)
     ess = base.ess if case in ("C", "D") else None
     ev = base.ev if case == "D" else None
     appliances = base.appliances

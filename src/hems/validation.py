@@ -112,27 +112,29 @@ def _audit_storage(
     full_at_end: bool,
 ) -> None:
     lo_t, hi_t = window
+    rows = dev.series.tolist()
+    charge, discharge, used, sold, soe = rows
     prev = spec.soe_init
     for t in range(T):
         inside = lo_t <= t <= hi_t
         if not inside:
             # Device absent: every quantity must be zero.
-            for arr in (dev.charge, dev.discharge, dev.used, dev.sold, dev.soe):
-                fam.eq(arr[t], 0.0, t)
+            for row in rows:
+                fam.eq(row[t], 0.0, t)
             continue
-        fam.eq(dev.used[t] + dev.sold[t], spec.discharge_eff * dev.discharge[t], t)
-        for arr in (dev.charge, dev.discharge, dev.used, dev.sold):
-            fam.le(-arr[t], 0.0, t)
-        fam.le(dev.charge[t], spec.charge_rate, t)
-        fam.le(dev.discharge[t], spec.discharge_rate, t)
-        fam.eq(dev.soe[t], prev + spec.charge_eff * dt * dev.charge[t] - dt * dev.discharge[t], t)
-        fam.le(spec.soe_min, dev.soe[t], t)
-        fam.le(dev.soe[t], spec.soe_max, t)
-        prev = dev.soe[t]
+        fam.eq(used[t] + sold[t], spec.discharge_eff * discharge[t], t)
+        for row in rows[:4]:
+            fam.le(-row[t], 0.0, t)
+        fam.le(charge[t], spec.charge_rate, t)
+        fam.le(discharge[t], spec.discharge_rate, t)
+        fam.eq(soe[t], prev + spec.charge_eff * dt * charge[t] - dt * discharge[t], t)
+        fam.le(spec.soe_min, soe[t], t)
+        fam.le(soe[t], spec.soe_max, t)
+        prev = soe[t]
     if end_reserve:
-        fam.le(spec.soe_init, dev.soe[hi_t], hi_t)
+        fam.le(spec.soe_init, soe[hi_t], hi_t)
     if full_at_end:
-        fam.eq(dev.soe[hi_t], spec.soe_max, hi_t)
+        fam.eq(soe[hi_t], spec.soe_max, hi_t)
 
 
 def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
@@ -145,39 +147,34 @@ def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
 
     ess = schedule.ess
     ev = schedule.ev
+    grid_buy, grid_sell, pv_used, pv_sold, served_load = schedule.series.tolist()
+    devices = [dev.series.tolist() for dev in (ess, ev) if dev is not None]
+    pv_gen = sc.pv_gen.tolist()
 
     for t in range(T):
-        supply = schedule.grid_buy[t] + schedule.pv_used[t]
-        demand = schedule.served_load[t]
-        if ess is not None:
-            supply += ess.used[t]
-            demand += ess.charge[t]
-        if ev is not None:
-            supply += ev.used[t]
-            demand += ev.charge[t]
+        supply = grid_buy[t] + pv_used[t]
+        demand = served_load[t]
+        sold = pv_sold[t]
+        for charge, _, used, dev_sold, _ in devices:
+            supply += used[t]
+            demand += charge[t]
+            sold += dev_sold[t]
         fams["balance"].eq(supply, demand, t)
 
-        fams["pv"].eq(schedule.pv_used[t] + schedule.pv_sold[t], sc.pv_gen[t], t)
-        fams["pv"].le(-schedule.pv_used[t], 0.0, t)
-        fams["pv"].le(-schedule.pv_sold[t], 0.0, t)
+        fams["pv"].eq(pv_used[t] + pv_sold[t], pv_gen[t], t)
+        fams["pv"].le(-pv_used[t], 0.0, t)
+        fams["pv"].le(-pv_sold[t], 0.0, t)
 
-        sold = schedule.pv_sold[t]
-        if ess is not None:
-            sold += ess.sold[t]
-        if ev is not None:
-            sold += ev.sold[t]
-        fams["export"].eq(schedule.grid_sell[t], sold, t)
+        fams["export"].eq(grid_sell[t], sold, t)
 
         excl = fams["exclusivity"]
-        excl.check(min(schedule.grid_buy[t], schedule.grid_sell[t]), 0.0, t)
-        excl.le(-schedule.grid_buy[t], 0.0, t)
-        excl.le(-schedule.grid_sell[t], 0.0, t)
-        excl.le(schedule.grid_buy[t], n1, t)
-        excl.le(schedule.grid_sell[t], n2, t)
-        if ess is not None:
-            excl.check(min(ess.charge[t], ess.discharge[t]), 0.0, t)
-        if ev is not None:
-            excl.check(min(ev.charge[t], ev.discharge[t]), 0.0, t)
+        excl.check(min(grid_buy[t], grid_sell[t]), 0.0, t)
+        excl.le(-grid_buy[t], 0.0, t)
+        excl.le(-grid_sell[t], 0.0, t)
+        excl.le(grid_buy[t], n1, t)
+        excl.le(grid_sell[t], n2, t)
+        for charge, discharge, *_ in devices:
+            excl.check(min(charge[t], discharge[t]), 0.0, t)
 
     if sc.ess is not None and ess is not None:
         _audit_storage(fams["ess"], sc.ess, ess, (0, T - 1), dt, T, sc.ess_end_reserve, False)
@@ -194,14 +191,13 @@ def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
     # Load shifting: one admissible destination per loaded source, served
     # profile consistent with the assignments, energy merely delayed.
     shf = fams["shifting"]
-    served = np.array(sc.non_deferrable, dtype=float)
+    served = sc.non_deferrable.tolist()
     scheduled_deferrable = 0.0
     served_deferrable = 0.0
     for app in sc.appliances:
         adt = app.adt_intervals(dt)
         assign = schedule.shifts.get(app.name, {})
-        for src in range(T):
-            load = app.profile[src]
+        for src, load in enumerate(app.profile.tolist()):
             if load <= 0.0:
                 continue
             scheduled_deferrable += load * dt
@@ -219,7 +215,7 @@ def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
             shifted_out = load if dst != src else 0.0
             shf.le(shifted_out, load, src, app.name)
     for t in range(T):
-        shf.eq(served[t], schedule.served_load[t], t)
+        shf.eq(served[t], served_load[t], t)
     shf.eq(served_deferrable, scheduled_deferrable, None)
 
     return AuditReport(
@@ -299,23 +295,20 @@ def schedule_to_values(
     """
     values = np.zeros(model.num_variables)
 
-    T = scenario.grid.T
-    for t in range(T):
-        values[varmap.grid_buy[t]] = schedule.grid_buy[t]
-        values[varmap.grid_sell[t]] = schedule.grid_sell[t]
-        values[varmap.pv_used[t]] = schedule.pv_used[t]
-        values[varmap.pv_sold[t]] = schedule.pv_sold[t]
+    for ids, row in zip(
+        (varmap.grid_buy, varmap.grid_sell, varmap.pv_used, varmap.pv_sold), schedule.series
+    ):
+        values[list(ids)] = row
     for t, vid in varmap.grid_mode.items():
         values[vid] = 1.0 if schedule.grid_buy[t] > 0.0 else 0.0
     for vars_, dev in ((varmap.ess, schedule.ess), (varmap.ev, schedule.ev)):
         if vars_ is None or dev is None:
             continue
-        for t in range(vars_.window[0], vars_.window[1] + 1):
-            values[vars_.charge[t]] = dev.charge[t]
-            values[vars_.discharge[t]] = dev.discharge[t]
-            values[vars_.used[t]] = dev.used[t]
-            values[vars_.sold[t]] = dev.sold[t]
-            values[vars_.soe[t]] = dev.soe[t]
+        lo, hi = vars_.window
+        for ids, row in zip(
+            (vars_.charge, vars_.discharge, vars_.used, vars_.sold, vars_.soe), dev.series
+        ):
+            values[list(ids.values())] = row[lo:hi + 1]
         for t, vid in vars_.mode.items():
             values[vid] = 1.0 if dev.charge[t] > 0.0 else 0.0
     for ai, app in enumerate(scenario.appliances):
@@ -344,8 +337,8 @@ def diagnose_infeasibility(scenario: Scenario) -> list[str]:
                 f"ev: departure target {s.soe_max} kWh is unreachable; at most "
                 f"{reachable:.3f} kWh can be stored over the {slots}-interval window"
             )
-    if sc.ess is None and sc.ev is None and max(sc.pv_gen) == 0.0:
-        peak = max(sc.non_deferrable)
+    if sc.ess is None and sc.ev is None and sc.pv_gen.max() == 0.0:
+        peak = float(sc.non_deferrable.max())
         if sc.caps[0] < peak:
             hints.append(
                 f"grid: import cap {sc.caps[0]} kW is below the non-deferrable "

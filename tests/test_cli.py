@@ -144,6 +144,11 @@ def _set(path: tuple, value):
     return edit
 
 
+def _raw(data: bytes):
+    """An edit that replaces the whole document with `data`."""
+    return lambda doc: data
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -159,11 +164,12 @@ def _set(path: tuple, value):
         (_set(("tariff", "buy", 5), True), "tariff.buy[5]"),
         (_set(("ess", "end_reserve"), "false"), "ess.end_reserve"),
         (_set(("ev", "require_full_at_departure"), "no"), "ev.require_full_at_departure"),
+        (_raw(b"schema: hems-scenario/1\n# \xff\n"), "invalid leading UTF-8 octet"),
     ],
     ids=["missing-key", "charge-rate", "adt-hours", "import-cap", "profile-entry",
          "fractional-intervals", "fractional-arrival", "boolean-charge-rate",
          "boolean-arrival", "boolean-series-entry", "quoted-end-reserve",
-         "quoted-full-at-departure"],
+         "quoted-full-at-departure", "undecodable-scenario"],
 )
 def test_solve_rejects_bad_scenario(runner, tmp_path, edit, field):
     import yaml
@@ -171,12 +177,36 @@ def test_solve_rejects_bad_scenario(runner, tmp_path, edit, field):
     from hems.scenario import scenario_to_mapping
 
     doc = scenario_to_mapping(load_scenario(HOURLY))
-    edit(doc)
+    raw = edit(doc)
     bad = tmp_path / "bad.yaml"
-    bad.write_text(yaml.safe_dump(doc))
+    bad.write_bytes(raw if isinstance(raw, bytes) else yaml.safe_dump(doc).encode())
     result = runner.invoke(main, ["solve", str(bad), "--out", str(tmp_path / "r")])
     assert result.exit_code == 2, result.output
     assert field in result.output
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "No such file"), (b"load\n1.0\n\xff\n", "not UTF-8")],
+    ids=["missing", "undecodable"],
+)
+def test_solve_names_field_and_path_of_bad_series_csv(runner, tmp_path, content, message):
+    import yaml
+
+    from hems.scenario import scenario_to_mapping
+
+    doc = scenario_to_mapping(load_scenario(HOURLY))
+    doc["non_deferrable"] = {"csv": "series.csv", "column": "load"}
+    (tmp_path / "bad.yaml").write_text(yaml.safe_dump(doc))
+    if content is not None:
+        (tmp_path / "series.csv").write_bytes(content)
+    result = runner.invoke(
+        main, ["solve", str(tmp_path / "bad.yaml"), "--out", str(tmp_path / "r")]
+    )
+    assert result.exit_code == 2, result.output
+    assert "non_deferrable: " in result.output
+    assert str(tmp_path / "series.csv") in result.output
+    assert message in result.output
 
 
 def write_limits(tmp_path: Path, limits: dict) -> Path:
@@ -303,6 +333,18 @@ def test_validate_flags_tampered_soe(runner, tmp_path):
     assert result.exit_code == 1
     assert "ess" in result.output
     assert "FAIL" in result.output
+
+
+def test_validate_rejects_undecodable_schedule_csv(runner, tmp_path, hourly_sweep):
+    scenario, result = hourly_sweep[("A", True)]
+    scenario_path = tmp_path / "case_a.yaml"
+    save_scenario(scenario, scenario_path)
+    csv_path = tmp_path / "schedule.csv"
+    schedule_to_csv(result.schedule, scenario, csv_path)
+    csv_path.write_bytes(csv_path.read_bytes().replace(b"\n5,1,", b"\n5,1,\xff", 1))
+    result = runner.invoke(main, ["validate", str(scenario_path), str(csv_path)])
+    assert result.exit_code == 2, result.output
+    assert "not UTF-8" in result.output
 
 
 def test_validate_mismatched_horizon_is_usage_error(runner, tmp_path):

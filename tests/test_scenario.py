@@ -1,6 +1,9 @@
 import math
+import pickle
 import re
+from copy import deepcopy
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -15,6 +18,12 @@ from hems.scenario import (
     scenario_to_mapping,
     synth_case,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def pickle_round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
 
 
 def minimal_doc(T=4, dt=1.0):
@@ -31,7 +40,7 @@ def test_flat_sell_price_broadcast():
     sc = parse_scenario(doc)
     assert sc.grid.T == 24
     assert all(s == 3.0 for s in sc.tariff.sell)
-    assert sc.pv_gen == (0.0,) * 24
+    assert sc.pv_gen.tolist() == [0.0] * 24
     assert sc.ess is None and sc.ev is None
 
 
@@ -175,6 +184,7 @@ def test_explicit_limits_reach_every_case(hourly_reference):
         ({"big_m": (0.0, None)}, "limits.import_cap"),
         ({"big_m": (None, math.inf)}, "limits.export_cap"),
         ({"non_deferrable": (1.0, -1.0)}, "non_deferrable[1]"),
+        ({"non_deferrable": (1.0, True)}, "non_deferrable[1]"),
     ],
 )
 def test_scenario_validates_on_construction(change, field):
@@ -196,6 +206,23 @@ def test_round_trip_mapping(hourly_reference):
     assert again == hourly_reference
 
 
+@pytest.mark.parametrize("name", ["reference_hourly.yaml", "reference_halfhour.yaml"])
+def test_libyaml_and_pure_python_loaders_agree(name):
+    text = (SCENARIOS / name).read_bytes()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text)
+
+
+@pytest.mark.parametrize("copy", [lambda sc: sc, pickle_round_trip, deepcopy],
+                         ids=["loaded", "unpickled", "deep-copied"])
+def test_series_are_read_only(hourly_reference, copy):
+    sc = copy(hourly_reference)
+    assert sc == hourly_reference
+    for series in (sc.tariff.buy, sc.tariff.sell, sc.non_deferrable, sc.pv_gen,
+                   sc.appliances[0].profile):
+        with pytest.raises(ValueError, match="read-only"):
+            series[0] = 1.0
+
+
 def test_yaml_parse_error_reported(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("schema: [unclosed\n")
@@ -215,8 +242,8 @@ def test_csv_series_import(tmp_path):
     scenario_path = tmp_path / "scenario.yaml"
     scenario_path.write_text(yaml.safe_dump(doc))
     sc = load_scenario(scenario_path)
-    assert sc.tariff.buy == (10.0, 12.0, 8.0, 9.0)
-    assert sc.non_deferrable == (1.5, 0.5, 1.0, 0.25)
+    assert sc.tariff.buy.tolist() == [10.0, 12.0, 8.0, 9.0]
+    assert sc.non_deferrable.tolist() == [1.5, 0.5, 1.0, 0.25]
 
 
 def test_csv_bad_number_has_line(tmp_path):
