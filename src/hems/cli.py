@@ -125,17 +125,14 @@ def main() -> None:
               default=Path("runs"), show_default=True, help="Artifact directory.")
 @click.option("--origin-hour", type=float, default=20.0, show_default=True,
               help="Wall-clock hour of interval 0 (labels output rows).")
-@click.option("--node-limit", type=int, default=MilpOptions().node_limit, show_default=True,
-              help="Branch-and-bound node cap.")
-@click.option("--lp-iteration-limit", type=int, default=MilpOptions().lp_iteration_limit,
-              show_default=True, help="Simplex pivot cap per LP.")
+@click.option("--node-limit", type=click.IntRange(min=1), default=MilpOptions().node_limit,
+              show_default=True, help="Branch-and-bound node cap.")
 @click.option("--dump-lp", is_flag=True, default=False,
               help="Also write 'model_<tag>.lp' (LP text format) for external solvers.")
-def solve(scenario_file, case, dsm, out_dir, origin_hour, node_limit,
-          lp_iteration_limit, dump_lp):
+def solve(scenario_file, case, dsm, out_dir, origin_hour, node_limit, dump_lp):
     """Solve one scenario case and write schedule/cost artifacts."""
     scenario = _load(scenario_file)
-    opts = MilpOptions(node_limit=node_limit, lp_iteration_limit=lp_iteration_limit)
+    opts = MilpOptions(node_limit=node_limit)
     runs = _solve_cases(scenario, [case.upper()], dsm, out_dir, origin_hour, opts, dump_lp)
     sys.exit(_exit_code(runs))
 
@@ -149,10 +146,9 @@ def solve(scenario_file, case, dsm, out_dir, origin_hour, node_limit,
 @click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
               default=Path("runs"), show_default=True)
 @click.option("--origin-hour", type=float, default=20.0, show_default=True)
-@click.option("--node-limit", type=int, default=MilpOptions().node_limit, show_default=True)
-@click.option("--lp-iteration-limit", type=int, default=MilpOptions().lp_iteration_limit,
+@click.option("--node-limit", type=click.IntRange(min=1), default=MilpOptions().node_limit,
               show_default=True)
-def sweep(scenario_file, cases, dsm, out_dir, origin_hour, node_limit, lp_iteration_limit):
+def sweep(scenario_file, cases, dsm, out_dir, origin_hour, node_limit):
     """Run the case-study sweep and write a summary table.
 
     The summary CSV is deterministic (byte-identical across runs); wall-clock
@@ -171,7 +167,9 @@ def sweep(scenario_file, cases, dsm, out_dir, origin_hour, node_limit, lp_iterat
         bad = [c for c in case_list if c not in CASES]
         if bad:
             raise click.UsageError(f"unknown case(s) {bad}; choose from {list(CASES)}")
-    opts = MilpOptions(node_limit=node_limit, lp_iteration_limit=lp_iteration_limit)
+        if not case_list:
+            raise click.UsageError(f"--cases names no case; choose from {list(CASES)} or 'all'")
+    opts = MilpOptions(node_limit=node_limit)
     runs = _solve_cases(scenario, case_list, dsm, out_dir, origin_hour, opts)
 
     lines = [

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .milp import MILPModel, MILPSolution, MilpOptions, OPTIMAL, solve_milp
-from .scenario import Scenario, StorageSpec, Tariff
+from .scenario import Device, Scenario, StorageSpec, Tariff
 
 CLAMP_EPS = 1e-9  # extracted magnitudes below this are reported as zero
 
@@ -121,8 +121,9 @@ def shift_destinations(T: int, src: int, adt_intervals: int) -> range:
     return range(src, min(src + adt_intervals, T - 1) + 1)
 
 
-def mode_needed(sc: Scenario) -> tuple[list[bool], list[bool], list[bool]]:
-    """Per interval, whether the grid, the ESS and the EV keep a mode binary.
+def mode_needed(sc: Scenario) -> dict[str, list[bool]]:
+    """Per interval, whether the grid and each storage device keep a mode
+    binary; keyed "grid" and by device name.
 
     Without it exclusivity is relaxed. That is exact in interval t when an
     exchange confined to t strictly improves any point with simultaneous
@@ -149,22 +150,19 @@ def mode_needed(sc: Scenario) -> tuple[list[bool], list[bool], list[bool]]:
     T = sc.grid.T
     buy, sell = sc.tariff.buy.tolist(), sc.tariff.sell.tolist()
     grid = [s >= b for s, b in zip(sell, buy)]
-    specs = (sc.ess, sc.ev.storage if sc.ev else None)
-    windows = ((0, T - 1), (sc.ev.arrival, sc.ev.departure) if sc.ev else None)
     room = sc.pv_gen.tolist()  # most the home can export at t
-    for spec, window in zip(specs, windows):
-        if spec:
-            for t in range(window[0], window[1] + 1):
-                room[t] += spec.discharge_rate * spec.discharge_eff
+    for dev in sc.storage:
+        for t in range(dev.window[0], dev.window[1] + 1):
+            room[t] += dev.spec.discharge_rate * dev.spec.discharge_eff
 
-    def storage(spec: StorageSpec | None) -> list[bool]:
-        loss = 1.0 - spec.charge_eff * spec.discharge_eff if spec else 0.0
+    def storage(spec: StorageSpec) -> list[bool]:
+        loss = 1.0 - spec.charge_eff * spec.discharge_eff
         return [
             grid[t] or sell[t] * loss <= max(sc.penalties) or room[t] > sc.caps[1]
             for t in range(T)
         ]
 
-    return grid, storage(specs[0]), storage(specs[1])
+    return {"grid": grid, **{dev.name: storage(dev.spec) for dev in sc.storage}}
 
 
 def _add_mode(model: MILPModel, label: str, t: int, on: tuple, off: tuple) -> int:
@@ -180,14 +178,10 @@ def _add_mode(model: MILPModel, label: str, t: int, on: tuple, off: tuple) -> in
 
 
 def _add_storage_block(
-    model: MILPModel,
-    label: str,
-    spec: StorageSpec,
-    window: tuple[int, int],
-    dt: float,
-    keep_mode: list[bool],
+    model: MILPModel, dev: Device, dt: float, keep_mode: list[bool]
 ) -> StorageVars:
-    lo_t, hi_t = window
+    label, spec = dev.name, dev.spec
+    lo_t, hi_t = dev.window
     charge: dict[int, int] = {}
     discharge: dict[int, int] = {}
     used: dict[int, int] = {}
@@ -237,32 +231,21 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
     n1, n2 = sc.caps
     buy, sell, pv_gen = sc.tariff.buy.tolist(), sc.tariff.sell.tolist(), sc.pv_gen.tolist()
     model = MILPModel("hems_day_ahead")
-    keep_grid, keep_ess, keep_ev = mode_needed(sc)
+    keep = mode_needed(sc)
     if full:
-        keep_grid = keep_ess = keep_ev = [True] * T
+        keep = dict.fromkeys(keep, [True] * T)
 
     grid_buy = tuple(model.add_continuous(f"grid_buy_{t}", 0.0, n1) for t in range(T))
     grid_sell = tuple(model.add_continuous(f"grid_sell_{t}", 0.0, n2) for t in range(T))
     grid_mode = {
         t: _add_mode(model, "grid", t, ("buy", grid_buy[t], n1), ("sell", grid_sell[t], n2))
         for t in range(T)
-        if keep_grid[t]
+        if keep["grid"][t]
     }
     pv_used = tuple(model.add_continuous(f"pv_used_{t}", 0.0, pv_gen[t]) for t in range(T))
     pv_sold = tuple(model.add_continuous(f"pv_sold_{t}", 0.0, pv_gen[t]) for t in range(T))
 
-    ess = (
-        _add_storage_block(model, "ess", sc.ess, (0, T - 1), dt, keep_ess)
-        if sc.ess is not None
-        else None
-    )
-    ev = (
-        _add_storage_block(
-            model, "ev", sc.ev.storage, (sc.ev.arrival, sc.ev.departure), dt, keep_ev
-        )
-        if sc.ev is not None
-        else None
-    )
+    storage = [(dev, _add_storage_block(model, dev, dt, keep[dev.name])) for dev in sc.storage]
 
     # Delay-choice binaries: one per admissible (appliance, source,
     # destination) pair; sources with zero scheduled load or zero delay
@@ -295,13 +278,13 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
             )
         shift[ai] = per_src
 
+    obj: list[tuple[int, float]] = []
     for t in range(T):
+        present = [(dev, v) for dev, v in storage if dev.window[0] <= t <= dev.window[1]]
         # Home power balance: supply meets served load plus device charging.
         terms = [(grid_buy[t], 1.0), (pv_used[t], 1.0)]
-        if ess is not None:
-            terms += [(ess.used[t], 1.0), (ess.charge[t], -1.0)]
-        if ev is not None and ev.window[0] <= t <= ev.window[1]:
-            terms += [(ev.used[t], 1.0), (ev.charge[t], -1.0)]
+        for _, v in present:
+            terms += [(v.used[t], 1.0), (v.charge[t], -1.0)]
         terms += [(vid, -load) for vid, load in incoming[t]]
         model.add_constraint(terms, "=", fixed_load[t], f"balance_{t}")
 
@@ -312,45 +295,30 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
 
         # Total export aggregation.
         terms = [(grid_sell[t], 1.0), (pv_sold[t], -1.0)]
-        if ess is not None:
-            terms.append((ess.sold[t], -1.0))
-        if ev is not None and ev.window[0] <= t <= ev.window[1]:
-            terms.append((ev.sold[t], -1.0))
+        terms += [(v.sold[t], -1.0) for _, v in present]
         model.add_constraint(terms, "=", 0.0, f"export_sum_{t}")
 
-    if ess is not None and sc.ess_end_reserve:
-        model.add_constraint(
-            [(ess.soe[T - 1], 1.0)], ">=", sc.ess.soe_init, "ess_end_reserve"
-        )
-    if ev is not None and sc.ev.require_full_at_departure:
-        model.add_constraint(
-            [(ev.soe[sc.ev.departure], 1.0)],
-            "=",
-            sc.ev.storage.soe_max,
-            "ev_full_at_departure",
-        )
-
-    # Objective: energy bill plus the export-priority penalties.
-    e1, e2, e3 = sc.penalties
-    obj: list[tuple[int, float]] = []
-    for t in range(T):
-        obj.append((grid_buy[t], buy[t] * dt))
-        obj.append((grid_sell[t], -sell[t] * dt))
-        obj.append((pv_sold[t], e1 * dt))
-        if ess is not None:
-            obj.append((ess.sold[t], e2 * dt))
-        if ev is not None and ev.window[0] <= t <= ev.window[1]:
-            obj.append((ev.sold[t], e3 * dt))
+        # Objective: energy bill plus the export-priority penalties.
+        obj += [(grid_buy[t], buy[t] * dt), (grid_sell[t], -sell[t] * dt),
+                (pv_sold[t], sc.penalties[0] * dt)]
+        obj += [(v.sold[t], dev.penalty * dt) for dev, v in present]
     model.set_objective(obj)
 
+    # Rows on each device's last state of energy.
+    for dev, v in storage:
+        if dev.end is not None:
+            tag, sense, kwh = dev.end
+            model.add_constraint([(v.soe[dev.window[1]], 1.0)], sense, kwh, tag)
+
+    blocks = {dev.name: v for dev, v in storage}
     return model, VarMap(
         grid_buy=grid_buy,
         grid_sell=grid_sell,
         grid_mode=grid_mode,
         pv_used=pv_used,
         pv_sold=pv_sold,
-        ess=ess,
-        ev=ev,
+        ess=blocks.get("ess"),
+        ev=blocks.get("ev"),
         shift=shift,
     )
 
@@ -433,12 +401,10 @@ def compute_cost(
     bill = float(
         np.sum(schedule.grid_buy * tariff.buy * dt) - np.sum(schedule.grid_sell * tariff.sell * dt)
     )
-    e1, e2, e3 = penalties
-    penalty = float(np.sum(e1 * schedule.pv_sold * dt))
-    if schedule.ess is not None:
-        penalty += float(np.sum(e2 * schedule.ess.sold * dt))
-    if schedule.ev is not None:
-        penalty += float(np.sum(e3 * schedule.ev.sold * dt))
+    penalty = float(np.sum(penalties[0] * schedule.pv_sold * dt))
+    for dev, e in zip((schedule.ess, schedule.ev), penalties[1:]):
+        if dev is not None:
+            penalty += float(np.sum(e * dev.sold * dt))
     return CostBreakdown(bill=bill, penalty=penalty, objective=bill + penalty)
 
 

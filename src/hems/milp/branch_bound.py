@@ -34,7 +34,7 @@ from .model import (
     MILPModel,
     MILPSolution,
 )
-from .simplex import DEFAULT_LP_ITERATION_LIMIT, CompiledLP, solve_compiled
+from .simplex import CompiledLP, solve_compiled
 
 INTEGRALITY_TOL = 1e-6   # distance from 0/1 below which a binary is integral
 GAP_TOL = 1e-9           # absolute objective gap that proves optimality
@@ -43,7 +43,6 @@ GAP_TOL = 1e-9           # absolute objective gap that proves optimality
 @dataclass(frozen=True)
 class MilpOptions:
     node_limit: int = 1_000_000
-    lp_iteration_limit: int = DEFAULT_LP_ITERATION_LIMIT
 
 
 @dataclass(eq=False)
@@ -120,7 +119,7 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
             break
         nodes_explored += 1
 
-        res = solve_compiled(core, node.lower, node.upper, opts.lp_iteration_limit)
+        res = solve_compiled(core, node.lower, node.upper)
         lp_iterations += res.iterations
         if res.status == INFEASIBLE:
             continue

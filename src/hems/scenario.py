@@ -23,6 +23,7 @@ SCENARIO_SCHEMA = "hems-scenario/1"
 DEFAULT_PENALTIES = (1e-4, 2e-4, 3e-4)  # cents/kWh on pv/ess/ev exports
 CASES = ("A", "B", "C", "D")
 _LIMIT_KEYS = ("import_cap", "export_cap")  # the document's names for big_m
+_PENALTY_KEYS = ("pv_sold", "ess_sold", "ev_sold")
 
 
 class ScenarioError(ValueError):
@@ -110,6 +111,18 @@ class EVSpec:
     require_full_at_departure: bool = True
 
 
+@dataclass(frozen=True, slots=True)
+class Device:
+    """A storage device as the model and the audit see it. The ESS and the
+    EV differ only in these fields."""
+
+    name: str                               # "ess" or "ev": variable prefix
+    spec: StorageSpec
+    window: tuple[int, int]                 # inclusive presence range
+    penalty: float                          # cents/kWh on its exports
+    end: tuple[str, str, float] | None      # row on the last soe: tag, sense, kWh
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Scenario(_HoldsSeries):
     grid: TimeGrid
@@ -131,6 +144,21 @@ class Scenario(_HoldsSeries):
         auto = default_big_m(self.non_deferrable, self.appliances, self.ess, self.ev, self.pv_gen)
         caps = tuple(a if given is None else given for given, a in zip(self.big_m, auto))
         object.__setattr__(self, "caps", caps)
+
+    @property
+    def storage(self) -> tuple[Device, ...]:
+        """The storage devices present, ESS first."""
+        devices = []
+        if self.ess is not None:
+            end = ("ess_end_reserve", ">=", self.ess.soe_init)
+            devices.append(Device("ess", self.ess, (0, self.grid.T - 1), self.penalties[1],
+                                  end if self.ess_end_reserve else None))
+        if self.ev is not None:
+            ev = self.ev
+            end = ("ev_full_at_departure", "=", ev.storage.soe_max)
+            devices.append(Device("ev", ev.storage, (ev.arrival, ev.departure), self.penalties[2],
+                                  end if ev.require_full_at_departure else None))
+        return tuple(devices)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +199,14 @@ def _check_series(name: str, values: np.ndarray, T: int) -> None:
         raise ScenarioError(f"{name}[{i}]: negative value {f}")
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ScenarioError(f"{name}: must be finite, got {value}")
+
+
 def _check_storage(name: str, s: StorageSpec) -> None:
+    for f in fields(s):
+        _check_finite(f"{name}.{f.name}", getattr(s, f.name))
     if s.charge_rate <= 0 or s.discharge_rate <= 0:
         raise ScenarioError(f"{name}: charge/discharge rates must be positive")
     for eff, label in ((s.charge_eff, "charge_eff"), (s.discharge_eff, "discharge_eff")):
@@ -188,6 +223,7 @@ def validate(sc: Scenario) -> Scenario:
     """Check every invariant; returns the scenario for chaining."""
     if sc.grid.T < 1:
         raise ScenarioError("grid.intervals: must be >= 1")
+    _check_finite("grid.interval_hours", sc.grid.dt)
     if not (sc.grid.dt > 0):
         raise ScenarioError("grid.interval_hours: must be positive")
     T = sc.grid.T
@@ -203,6 +239,7 @@ def validate(sc: Scenario) -> Scenario:
             raise ScenarioError(f"appliances: duplicate name {a.name!r}")
         seen.add(a.name)
         _check_series(f"appliances.{a.name}.profile", a.profile, T)
+        _check_finite(f"appliances.{a.name}.adt_hours", a.adt_hours)
         if a.adt_hours < 0:
             raise ScenarioError(f"appliances.{a.name}.adt_hours: negative")
     if sc.ess is not None:
@@ -215,6 +252,8 @@ def validate(sc: Scenario) -> Scenario:
                 f"must be a nonempty contiguous index range; pick a horizon "
                 f"origin that avoids wrapping midnight)"
             )
+    for key, e in zip(_PENALTY_KEYS, sc.penalties):
+        _check_finite(f"penalties.{key}", e)
     e1, e2, e3 = sc.penalties
     if not (0.0 <= e1 < e2 < e3):
         raise ScenarioError(
@@ -238,12 +277,10 @@ def default_big_m(
     deferrable = sum((np.asarray(a.profile) for a in appliances), 0.0)
     n1 = float(np.max(np.asarray(non_deferrable) + deferrable))
     n2 = float(np.max(pv_gen)) if len(pv_gen) else 0.0
-    if ess is not None:
-        n1 += ess.charge_rate
-        n2 += ess.discharge_rate * ess.discharge_eff
-    if ev is not None:
-        n1 += ev.storage.charge_rate
-        n2 += ev.storage.discharge_rate * ev.storage.discharge_eff
+    for spec in (ess, ev.storage if ev else None):
+        if spec is not None:
+            n1 += spec.charge_rate
+            n2 += spec.discharge_rate * spec.discharge_eff
     return (max(n1, 1.0), max(n2, 1.0))
 
 
@@ -402,10 +439,9 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
 
     penalties = DEFAULT_PENALTIES
     if doc.get("penalties") is not None:
-        _require_keys("penalties", doc["penalties"], {"pv_sold", "ess_sold", "ev_sold"})
+        _require_keys("penalties", doc["penalties"], set(_PENALTY_KEYS))
         penalties = tuple(
-            _number(f"penalties.{key}", doc["penalties"][key])
-            for key in ("pv_sold", "ess_sold", "ev_sold")
+            _number(f"penalties.{key}", doc["penalties"][key]) for key in _PENALTY_KEYS
         )
 
     limits = {} if doc.get("limits") is None else doc["limits"]
@@ -451,11 +487,7 @@ def scenario_to_mapping(sc: Scenario) -> dict:
             {"name": a.name, "adt_hours": a.adt_hours, "profile": a.profile.tolist()}
             for a in sc.appliances
         ],
-        "penalties": {
-            "pv_sold": sc.penalties[0],
-            "ess_sold": sc.penalties[1],
-            "ev_sold": sc.penalties[2],
-        },
+        "penalties": dict(zip(_PENALTY_KEYS, sc.penalties)),
         "limits": {key: "auto" if cap is None else cap for key, cap in zip(_LIMIT_KEYS, sc.big_m)},
     }
     if sc.ess is not None:

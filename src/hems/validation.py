@@ -17,7 +17,7 @@ import numpy as np
 from .formulation import Schedule, VarMap, build_model, schedule_from_values, shift_destinations
 from .milp import MILPModel, OPTIMAL
 from .milp.simplex import CompiledLP, solve_compiled
-from .scenario import Scenario, StorageSpec
+from .scenario import Device, Scenario
 
 AUDIT_TOL = 1e-6  # relative to (1 + |rhs|), as everywhere in the artifact
 AUDIT_SCHEMA = "hems-audit/1"
@@ -101,17 +101,9 @@ class _Family:
         )
 
 
-def _audit_storage(
-    fam: _Family,
-    spec: StorageSpec,
-    dev,
-    window: tuple[int, int],
-    dt: float,
-    T: int,
-    end_reserve: bool,
-    full_at_end: bool,
-) -> None:
-    lo_t, hi_t = window
+def _audit_storage(fam: _Family, device: Device, dev, dt: float, T: int) -> None:
+    spec = device.spec
+    lo_t, hi_t = device.window
     rows = dev.series.tolist()
     charge, discharge, used, sold, soe = rows
     prev = spec.soe_init
@@ -131,10 +123,12 @@ def _audit_storage(
         fam.le(spec.soe_min, soe[t], t)
         fam.le(soe[t], spec.soe_max, t)
         prev = soe[t]
-    if end_reserve:
-        fam.le(spec.soe_init, soe[hi_t], hi_t)
-    if full_at_end:
-        fam.eq(soe[hi_t], spec.soe_max, hi_t)
+    if device.end is not None:
+        _, sense, target = device.end
+        if sense == ">=":
+            fam.le(target, soe[hi_t], hi_t)
+        else:
+            fam.eq(soe[hi_t], target, hi_t)
 
 
 def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
@@ -145,10 +139,9 @@ def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
     n1, n2 = sc.caps
     fams = {name: _Family(name) for name in FAMILIES}
 
-    ess = schedule.ess
-    ev = schedule.ev
     grid_buy, grid_sell, pv_used, pv_sold, served_load = schedule.series.tolist()
-    devices = [dev.series.tolist() for dev in (ess, ev) if dev is not None]
+    scheduled = {"ess": schedule.ess, "ev": schedule.ev}
+    devices = [dev.series.tolist() for dev in scheduled.values() if dev is not None]
     pv_gen = sc.pv_gen.tolist()
 
     for t in range(T):
@@ -176,17 +169,13 @@ def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
         for charge, discharge, *_ in devices:
             excl.check(min(charge[t], discharge[t]), 0.0, t)
 
-    if sc.ess is not None and ess is not None:
-        _audit_storage(fams["ess"], sc.ess, ess, (0, T - 1), dt, T, sc.ess_end_reserve, False)
-    elif (sc.ess is None) != (ess is None):
-        fams["ess"].check(1.0, 0.0, None)
-    if sc.ev is not None and ev is not None:
-        window = (sc.ev.arrival, sc.ev.departure)
-        _audit_storage(
-            fams["ev"], sc.ev.storage, ev, window, dt, T, False, sc.ev.require_full_at_departure
-        )
-    elif (sc.ev is None) != (ev is None):
-        fams["ev"].check(1.0, 0.0, None)
+    present = {device.name: device for device in sc.storage}
+    for name, dev in scheduled.items():
+        device = present.get(name)
+        if device is not None and dev is not None:
+            _audit_storage(fams[name], device, dev, dt, T)
+        elif (device is None) != (dev is None):
+            fams[name].check(1.0, 0.0, None)  # in the scenario or the schedule only
 
     # Load shifting: one admissible destination per loaded source, served
     # profile consistent with the assignments, energy merely delayed.
@@ -328,16 +317,18 @@ def diagnose_infeasibility(scenario: Scenario) -> list[str]:
     """Necessary-condition checks that name the likely infeasible family."""
     sc = scenario
     hints: list[str] = []
-    if sc.ev is not None and sc.ev.require_full_at_departure:
-        s = sc.ev.storage
-        slots = sc.ev.departure - sc.ev.arrival + 1
+    for device in sc.storage:
+        if device.end is None:
+            continue
+        s, target = device.spec, device.end[2]
+        slots = device.window[1] - device.window[0] + 1
         reachable = s.soe_init + s.charge_rate * s.charge_eff * sc.grid.dt * slots
-        if reachable < s.soe_max - 1e-9:
+        if reachable < target - 1e-9:
             hints.append(
-                f"ev: departure target {s.soe_max} kWh is unreachable; at most "
+                f"{device.name}: end target {target} kWh is unreachable; at most "
                 f"{reachable:.3f} kWh can be stored over the {slots}-interval window"
             )
-    if sc.ess is None and sc.ev is None and sc.pv_gen.max() == 0.0:
+    if not sc.storage and sc.pv_gen.max() == 0.0:
         peak = float(sc.non_deferrable.max())
         if sc.caps[0] < peak:
             hints.append(

@@ -19,7 +19,11 @@ FEAS_EPS = 1e-8
 
 
 def enumerate_lp_optimum(model: MILPModel) -> tuple[str, float]:
-    """(status, objective) by brute force. Requires finite variable bounds."""
+    """(status, objective) by brute force. Requires finite variable bounds.
+
+    Each (tight rows, free variables) combination is one square system; every
+    bound pick of the pinned variables is a right-hand side of it, so one
+    solve covers them all. A singular system yields no candidate."""
     n = model.num_variables
     lo, hi = model.bounds_arrays()
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -28,52 +32,44 @@ def enumerate_lp_optimum(model: MILPModel) -> tuple[str, float]:
     m = model.num_constraints
     A = np.zeros((m, n))
     b = np.zeros(m)
-    senses = []
     for i, con in enumerate(model.constraints):
         for vid, coef in con.terms:
             A[i, vid] = coef
         b[i] = con.rhs
-        senses.append(con.sense)
+    senses = np.array([con.sense for con in model.constraints], dtype=object)
+    le, ge, eq = senses == "<=", senses == ">=", senses == "="
+    tol = FEAS_EPS * (1.0 + np.abs(b))
 
-    def feasible(x: np.ndarray) -> bool:
-        if np.any(x < lo - FEAS_EPS) or np.any(x > hi + FEAS_EPS):
-            return False
-        act = A @ x if m else np.zeros(0)
-        for i, sense in enumerate(senses):
-            tol = FEAS_EPS * (1.0 + abs(b[i]))
-            if sense == "<=" and act[i] > b[i] + tol:
-                return False
-            if sense == ">=" and act[i] < b[i] - tol:
-                return False
-            if sense == "=" and abs(act[i] - b[i]) > tol:
-                return False
-        return True
+    def feasible(X: np.ndarray) -> np.ndarray:
+        """Which rows of X (one candidate each) satisfy bounds and rows."""
+        ok = np.all((X >= lo - FEAS_EPS) & (X <= hi + FEAS_EPS), axis=1)
+        act = X @ A.T
+        bad = (le & (act > b + tol)) | (ge & (act < b - tol)) | (eq & (np.abs(act - b) > tol))
+        return ok & ~np.any(bad, axis=1)
 
     best = math.inf
     found = False
-    rows = list(range(m))
     cols = list(range(n))
     for k in range(0, min(m, n) + 1):
-        for active_rows in itertools.combinations(rows, k):
+        # Bound picks in itertools.product order, 1 = upper bound.
+        picks = np.array(list(itertools.product((0, 1), repeat=n - k)), dtype=bool)
+        for active_rows in itertools.combinations(range(m), k):
+            rows = list(active_rows)
             for free_vars in itertools.combinations(cols, k):
+                free = list(free_vars)
                 pinned = [j for j in cols if j not in free_vars]
-                for bound_pick in itertools.product((0, 1), repeat=len(pinned)):
-                    x = np.empty(n)
-                    for j, side in zip(pinned, bound_pick):
-                        x[j] = lo[j] if side == 0 else hi[j]
-                    if k:
-                        sub = A[np.ix_(active_rows, free_vars)]
-                        rhs = b[list(active_rows)] - A[np.ix_(active_rows, pinned)] @ x[pinned]
-                        try:
-                            sol = np.linalg.solve(sub, rhs)
-                        except np.linalg.LinAlgError:
-                            continue
-                        x[list(free_vars)] = sol
-                    if feasible(x):
-                        found = True
-                        obj = float(c @ x)
-                        if obj < best:
-                            best = obj
+                X = np.empty((len(picks), n))
+                X[:, pinned] = np.where(picks, hi[pinned], lo[pinned])
+                if k:
+                    rhs = b[rows, None] - A[np.ix_(rows, pinned)] @ X[:, pinned].T
+                    try:
+                        X[:, free] = np.linalg.solve(A[np.ix_(rows, free)], rhs).T
+                    except np.linalg.LinAlgError:
+                        continue
+                ok = feasible(X)
+                if ok.any():
+                    found = True
+                    best = min(best, float(np.min(X[ok] @ c)))
     if not found:
         return INFEASIBLE, math.nan
     return OPTIMAL, best

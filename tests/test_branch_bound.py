@@ -233,11 +233,16 @@ def test_round_fails_when_neither_value_fits():
     assert branch_bound._round(core, np.array([0.4, 0.4]), np.array([1])) is None
 
 
-@pytest.mark.parametrize("child_status", [NUMERICAL, UNBOUNDED])
-def test_failed_child_lp_returns_numerical_with_incumbent(monkeypatch, child_status):
+@pytest.mark.parametrize(
+    "child_status, expected",
+    [(NUMERICAL, NUMERICAL), (UNBOUNDED, NUMERICAL), (ITERATION_LIMIT, ITERATION_LIMIT)],
+    ids=[NUMERICAL, UNBOUNDED, ITERATION_LIMIT],
+)
+def test_failed_child_lp_returns_numerical_with_incumbent(monkeypatch, child_status, expected):
     """A node LP below the root that fails numerically, or is unbounded under
-    a bounded root, stops the search with status numerical and keeps the
-    incumbent the root's rounding found."""
+    a bounded root, stops the search with status numerical; one that hits the
+    LP pivot cap stops it with status iteration_limit. Either way the search
+    keeps the incumbent the root's rounding found."""
     original = branch_bound.solve_compiled
     calls = []
 
@@ -252,7 +257,7 @@ def test_failed_child_lp_returns_numerical_with_incumbent(monkeypatch, child_sta
     m = _knapsack()
     r = solve_milp(m)
     assert calls[0] == OPTIMAL and len(calls) == 2
-    assert r.status == NUMERICAL
+    assert r.status == expected
     assert math.isfinite(r.objective)
     assert r.objective == pytest.approx(m.objective_value(r.values), abs=1e-9)
     assert m.max_violation(r.values) <= 1e-9

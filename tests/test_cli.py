@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,16 @@ def test_solve_node_limit_exits_nonzero(runner, tmp_path):
     assert not (out / "schedule_D_dsm.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_node_limit_below_one_is_a_usage_error(runner, tmp_path, command, limit):
+    out = tmp_path / "r"
+    result = runner.invoke(main, [command, HOURLY, "--node-limit", limit, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--node-limit" in result.output
+    assert not out.exists()
+
+
 def test_solve_numerical_failure_exits_nonzero(runner, tmp_path, monkeypatch):
     import numpy as np
 
@@ -165,11 +176,21 @@ def _raw(data: bytes):
         (_set(("ess", "end_reserve"), "false"), "ess.end_reserve"),
         (_set(("ev", "require_full_at_departure"), "no"), "ev.require_full_at_departure"),
         (_raw(b"schema: hems-scenario/1\n# \xff\n"), "invalid leading UTF-8 octet"),
+        (_set(("appliances", 0, "adt_hours"), math.inf), "appliances.dishwasher.adt_hours"),
+        (_set(("appliances", 0, "adt_hours"), math.nan), "appliances.dishwasher.adt_hours"),
+        (_set(("ess", "charge_rate"), math.nan), "ess.charge_rate"),
+        (_set(("ess", "charge_rate"), math.inf), "ess.charge_rate"),
+        (_set(("ev", "discharge_rate"), math.nan), "ev.discharge_rate"),
+        (_set(("ev", "soe_max"), math.inf), "ev.soe_max"),
+        (_set(("penalties", "ev_sold"), math.inf), "penalties.ev_sold"),
+        (_set(("grid", "interval_hours"), math.inf), "grid.interval_hours"),
     ],
     ids=["missing-key", "charge-rate", "adt-hours", "import-cap", "profile-entry",
          "fractional-intervals", "fractional-arrival", "boolean-charge-rate",
          "boolean-arrival", "boolean-series-entry", "quoted-end-reserve",
-         "quoted-full-at-departure", "undecodable-scenario"],
+         "quoted-full-at-departure", "undecodable-scenario", "infinite-adt-hours",
+         "nan-adt-hours", "nan-charge-rate", "infinite-charge-rate", "nan-ev-discharge-rate",
+         "infinite-ev-capacity", "infinite-ev-penalty", "infinite-interval-hours"],
 )
 def test_solve_rejects_bad_scenario(runner, tmp_path, edit, field):
     import yaml
@@ -287,6 +308,14 @@ def test_sweep_case_subset(runner, tmp_path):
     assert result.exit_code == 0, result.output
     rows = (out / "summary.csv").read_text().splitlines()[2:]
     assert len(rows) == 2
+
+
+def test_sweep_rejects_empty_case_list(runner, tmp_path):
+    out = tmp_path / "s"
+    result = runner.invoke(main, ["sweep", HOURLY, "--cases", ",", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--cases names no case" in result.output
+    assert not out.exists()
 
 
 def test_sweep_rejects_non_day_horizon(runner, tmp_path):

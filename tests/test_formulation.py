@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -393,3 +394,64 @@ def test_export_priority_prefers_pv():
     assert s.pv_sold[0] == pytest.approx(1.0, abs=1e-6)
     assert s.ess.sold[0] <= 1e-6
     assert s.ev.sold[0] <= 1e-6
+
+
+# sha256 of to_lp_text() per (scenario, case, dsm, full model). A change to
+# any variable, row, bound, tag or objective term, or to their order, changes
+# a digest, so a refactor of build_model must leave every one as it is.
+MODEL_DIGESTS = {
+    ("hourly", "A", False, False): "aaf54563ddba294accb4c40b9eba24b22c32894ca9943ed28018c1b93ed4b2ce",
+    ("hourly", "A", False, True): "7e1f3e2d1436631dd735a908f31dbc46b0f72db9685c00b9e4ec450e419271c8",
+    ("hourly", "A", True, False): "7d69c0aa3261e059fac19f256b50eef9b8411134ed5718b81b287e8fed653aa9",
+    ("hourly", "A", True, True): "800c709d7b690f9e8d33812354e29394946a553f8b52271db9c35580c703c764",
+    ("hourly", "B", False, False): "bba38726773bd9c1b574752ac09ab7f7d8bcefea67100d47b2a8f886bbf730b9",
+    ("hourly", "B", False, True): "ef281593810c513a3567b36ec38c3acd4f668b862292616c9acdc5122cd863a5",
+    ("hourly", "B", True, False): "b18c5a6368903fb5d9c945f1932733415fa7146c040dd1382300a45fe4f0e094",
+    ("hourly", "B", True, True): "a04f2ee6bd688038249f89e156a1864c853eb6ffde5dab8c1bcb415187333c96",
+    ("hourly", "C", False, False): "82d4d3de13f2584fa0f7b9e3121e670bc3eb273b09e831df15eef98fa64deffc",
+    ("hourly", "C", False, True): "f34870a01de0fd8923ce3abd42c9fccff16a0275f30549b8e932f793c590fddd",
+    ("hourly", "C", True, False): "7a8b91d64458dbd17700ed9ffef2520093d49ff95f1a3f452640c3f9dfa07eca",
+    ("hourly", "C", True, True): "64baf4d96538838433dd4e2043a618732e34499b942abb17c7dfe2f8293be8e4",
+    ("hourly", "D", False, False): "edf003c7ef68eaab1f27726565a62e3b2f79f9a3d6f63c03c500054bd543949d",
+    ("hourly", "D", False, True): "042f21d7734b242b5ba863254b2bf5e759bd57b5f0c3c6dfcfa6dc456dc4c53e",
+    ("hourly", "D", True, False): "d881b30a92e39fa8f12e6c781cc6dbdb2c3c384e746c9fb5aaf7758dc444afff",
+    ("hourly", "D", True, True): "d0dde21b04034d01a6893a7e9ccbe378517360adefc457499eeffcf369c96424",
+    ("halfhour", "A", False, False): "ac56e35bd02b0a8c5ccb82cfad45d8f4cb04489fbaa48f96d46059adc4007bcb",
+    ("halfhour", "A", False, True): "3cf15a1cbacf16ad21032d398b693f229da8dee30474eafb949a5ec673b4ebde",
+    ("halfhour", "A", True, False): "903f74aace663851be199b733653aaed1fe6ef6d27be25e2a7e9cea3430897f6",
+    ("halfhour", "A", True, True): "c200f7df4546022a301a0a45ad54e40816982c84113769777b4cbb97cad39aad",
+    ("halfhour", "B", False, False): "b904685aefb7acc13191e82c979a4d7878b5a77d1b9b3725870443e0a969348c",
+    ("halfhour", "B", False, True): "678632f6675ec2377f30f279b87f9927d8b0e3d263e4284703026017213825cc",
+    ("halfhour", "B", True, False): "7fc3e722240314193f237b1ced2612bf5fd6053ad5beace21fab4f5803f2b2bc",
+    ("halfhour", "B", True, True): "0ddf0468b56393dad607c0aea7e73d1de3939300c7dada0b7922087694221240",
+    ("halfhour", "C", False, False): "8a9a7158731c4c531ade1858dcf2832d53b4759a94e0d0d73eda8f7c24679cd4",
+    ("halfhour", "C", False, True): "824ba09bad26517a50dd5cca276f01bcaab3f974126b3e333a448e5609f1ecac",
+    ("halfhour", "C", True, False): "3a9175391ce6ca8c9928fda4cd8657bfec67171cd4149026d40e37b3775dc1bc",
+    ("halfhour", "C", True, True): "86a5ec928acc12b8fffbe509221370f74ca03f77fea7b6b7914354046a3c4795",
+    ("halfhour", "D", False, False): "e93639492709b170cc1e00947a7f7749358e7a910f9e0779e2cbb3bf7ae9820c",
+    ("halfhour", "D", False, True): "6ee66e75cfc41994906a5aca90fcb9a04348c90ae2c404f5d726cec511240e5c",
+    ("halfhour", "D", True, False): "ef56fb426327bcc58564efeb1d38a03d4df6757e3420c1e3fefe06ccaf5c7b6f",
+    ("halfhour", "D", True, True): "df1e7e327ab344b281b89ee383713c4338f24f9bf139fde795f040760e30da2e",
+    ("no_end_reserve", "D", True, False): "4cb637ce9986ad4cc47d73fc9714f884058128291177ce46a3db78b498d18c1e",
+    ("no_end_reserve", "D", True, True): "58e970eb9ca12bae54d60f09906907ad33e19fe27ae9f14c02338bd619426e5c",
+    ("ev_not_full", "D", True, False): "2e107513c8014a8e86037a41d224e4c04427843413342744cff4a3ae4b0bf648",
+    ("ev_not_full", "D", True, True): "f5f00cfe073d7e6e3b38ed0e4d603053e54caf035f4cd22c382692377c53ab2d",
+}
+
+
+def _digest_id(key) -> str:
+    name, case, dsm, full = key
+    return f"{name}-{case}-{'dsm' if dsm else 'nodsm'}-{'full' if full else 'solved'}"
+
+
+@pytest.mark.parametrize("key", list(MODEL_DIGESTS), ids=_digest_id)
+def test_compiled_models_are_pinned(request, key):
+    name, case, dsm, full = key
+    reference = "hourly" if name in ("no_end_reserve", "ev_not_full") else name
+    sc = request.getfixturevalue(f"{reference}_reference")
+    if name == "no_end_reserve":
+        sc = replace(sc, ess_end_reserve=False)
+    elif name == "ev_not_full":
+        sc = replace(sc, ev=replace(sc.ev, require_full_at_departure=False))
+    model, _ = build_model(synth_case(case, dsm, sc), full=full)
+    assert hashlib.sha256(model.to_lp_text().encode()).hexdigest() == MODEL_DIGESTS[key]

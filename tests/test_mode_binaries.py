@@ -136,7 +136,9 @@ def test_low_feed_in_price_keeps_storage_binaries(monkeypatch):
     assert not varmap.grid_mode and list(varmap.ess.mode) == [0]
     full = assert_matches_full_model(sc).solution.objective
 
-    monkeypatch.setattr(formulation, "mode_needed", lambda sc: ([False], [False], [False]))
+    monkeypatch.setattr(
+        formulation, "mode_needed", lambda sc: {"grid": [False], "ess": [False], "ev": [False]}
+    )
     relaxed = solve_scenario(sc)
     assert relaxed.solution.objective < full - 1e-5
     assert not audit(sc, relaxed.schedule).family("exclusivity").passed

@@ -10,7 +10,11 @@ import yaml
 
 from hems.scenario import (
     ApplianceSpec,
+    Device,
+    EVSpec,
     ScenarioError,
+    StorageSpec,
+    TimeGrid,
     load_scenario,
     parse_scenario,
     read_series_csv,
@@ -185,12 +189,38 @@ def test_explicit_limits_reach_every_case(hourly_reference):
         ({"big_m": (None, math.inf)}, "limits.export_cap"),
         ({"non_deferrable": (1.0, -1.0)}, "non_deferrable[1]"),
         ({"non_deferrable": (1.0, True)}, "non_deferrable[1]"),
+        ({"grid": TimeGrid(2, math.inf)}, "grid.interval_hours"),
+        ({"appliances": (ApplianceSpec("wash", (1.0, 0.0), math.inf),)}, "wash.adt_hours"),
+        ({"appliances": (ApplianceSpec("wash", (1.0, 0.0), math.nan),)}, "wash.adt_hours"),
+        ({"ess": StorageSpec(math.nan, 1.0, 1.0, 1.0, 0.0, 4.0, 2.0)}, "ess.charge_rate"),
+        ({"ess": StorageSpec(math.inf, 1.0, 1.0, 1.0, 0.0, 4.0, 2.0)}, "ess.charge_rate"),
+        ({"ev": EVSpec(StorageSpec(1.0, math.nan, 1.0, 1.0, 0.0, 4.0, 2.0), 0, 1)},
+         "ev.discharge_rate"),
+        ({"ev": EVSpec(StorageSpec(1.0, 1.0, 1.0, 1.0, 0.0, math.inf, 2.0), 0, 1)}, "ev.soe_max"),
+        ({"penalties": (1e-4, 2e-4, math.inf)}, "penalties.ev_sold"),
     ],
 )
 def test_scenario_validates_on_construction(change, field):
     sc = parse_scenario(minimal_doc(T=2))
     with pytest.raises(ScenarioError, match=re.escape(field)):
         replace(sc, **change)
+
+
+@pytest.mark.parametrize("reference", ["hourly", "halfhour"])
+def test_storage_lists_the_devices_of_each_case(request, reference):
+    base = request.getfixturevalue(f"{reference}_reference")
+    last = base.grid.T - 1
+    ess = Device("ess", base.ess, (0, last), 2e-4, ("ess_end_reserve", ">=", 3.0))
+    ev_window = (0, 11) if reference == "hourly" else (0, 23)
+    ev = Device("ev", base.ev.storage, ev_window, 3e-4, ("ev_full_at_departure", "=", 16.0))
+    for case, devices in zip("ABCD", ((), (), (ess,), (ess, ev))):
+        for dsm in (False, True):
+            assert synth_case(case, dsm, base).storage == devices
+
+    relaxed = replace(base, ess_end_reserve=False,
+                      ev=replace(base.ev, arrival=2, require_full_at_departure=False))
+    ev = replace(ev, window=(2, ev_window[1]), end=None)
+    assert relaxed.storage == (replace(ess, end=None), ev)
 
 
 def test_round_trip_file(tmp_path, halfhour_reference):
