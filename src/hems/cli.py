@@ -7,6 +7,7 @@ Exit codes: 0 optimal/pass, 1 infeasible/unbounded/limit/numerical/audit-fail,
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from pathlib import Path
@@ -37,6 +38,12 @@ def _load(path: Path) -> Scenario:
         return load_scenario(path)
     except ScenarioError as exc:
         raise click.UsageError(str(exc))
+
+
+def _finite_hour(ctx, param, value: float) -> float:
+    if not math.isfinite(value):
+        raise click.BadParameter(f"must be a finite hour, got {value}")
+    return value
 
 
 def _dsm_flags(dsm: str) -> list[bool]:
@@ -124,7 +131,7 @@ def main() -> None:
 @click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
               default=Path("runs"), show_default=True, help="Artifact directory.")
 @click.option("--origin-hour", type=float, default=20.0, show_default=True,
-              help="Wall-clock hour of interval 0 (labels output rows).")
+              callback=_finite_hour, help="Wall-clock hour of interval 0 (labels output rows).")
 @click.option("--node-limit", type=click.IntRange(min=1), default=MilpOptions().node_limit,
               show_default=True, help="Branch-and-bound node cap.")
 @click.option("--dump-lp", is_flag=True, default=False,
@@ -145,7 +152,8 @@ def solve(scenario_file, case, dsm, out_dir, origin_hour, node_limit, dump_lp):
               show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
               default=Path("runs"), show_default=True)
-@click.option("--origin-hour", type=float, default=20.0, show_default=True)
+@click.option("--origin-hour", type=float, default=20.0, show_default=True,
+              callback=_finite_hour)
 @click.option("--node-limit", type=click.IntRange(min=1), default=MilpOptions().node_limit,
               show_default=True)
 def sweep(scenario_file, cases, dsm, out_dir, origin_hour, node_limit):

@@ -7,7 +7,10 @@ source, destination) delay choice. The home power balance ties them
 together; appliance blocks are atomic and may only be delayed, never
 advanced. The paper's buy/sell and charge/discharge mode binaries, with
 their big-M rows, are emitted only in the intervals where they can change
-the optimum (see `mode_needed`); `build_model(sc, full=True)` keeps all.
+the optimum (see `mode_needed`). The solved model also substitutes out
+pv_used = pv_gen - pv_sold everywhere, and grid_sell = pv_sold + sum(sold)
+wherever no bound on grid_sell can bind; `build_model(sc, full=True)` keeps
+the paper's model with every row and binary.
 """
 
 from __future__ import annotations
@@ -37,10 +40,14 @@ class StorageVars:
 
 @dataclass(frozen=True)
 class VarMap:
+    """Variable ids of a built model. Eliminated variables have no id:
+    `pv_used` is None and `grid_sell` lacks the intervals whose export sum
+    was substituted out; `schedule_from_values` derives them."""
+
     grid_buy: tuple[int, ...]
-    grid_sell: tuple[int, ...]
+    grid_sell: dict[int, int]        # interval -> id where the export sum keeps its row
     grid_mode: dict[int, int]        # 1 = buying side active; see mode_needed
-    pv_used: tuple[int, ...]
+    pv_used: tuple[int, ...] | None  # None: pv_used = pv_gen - pv_sold
     pv_sold: tuple[int, ...]
     ess: StorageVars | None
     ev: StorageVars | None
@@ -78,13 +85,14 @@ class DeviceSchedule:
 class Schedule:
     """Physical quantities of a solved day, all length-T arrays in kW except
     soe (kWh); grid_buy, grid_sell, pv_used, pv_sold and served_load are the
-    rows of one (5, T) array. `shifts` maps appliance name -> {source
-    interval: destination} for every source with nonzero scheduled load."""
+    rows of one (5, T) array. `shifts` is a (len(appliances), T) int16 array
+    in scenario order: shifts[a, src] is the destination of appliance a's
+    block scheduled at src, or -1 where no load is scheduled."""
 
     series: np.ndarray
     ess: DeviceSchedule | None
     ev: DeviceSchedule | None
-    shifts: dict[str, dict[int, int]]
+    shifts: np.ndarray
 
     def __init__(self, grid_buy, grid_sell, pv_used, pv_sold, served_load, ess, ev, shifts):
         self.series = np.array([grid_buy, grid_sell, pv_used, pv_sold, served_load], dtype=float)
@@ -123,7 +131,8 @@ def shift_destinations(T: int, src: int, adt_intervals: int) -> range:
 
 def mode_needed(sc: Scenario) -> dict[str, list[bool]]:
     """Per interval, whether the grid and each storage device keep a mode
-    binary; keyed "grid" and by device name.
+    binary, keyed "grid" and by device name, and whether the export sum keeps
+    its row and grid_sell, keyed "export".
 
     Without it exclusivity is relaxed. That is exact in interval t when an
     exchange confined to t strictly improves any point with simultaneous
@@ -146,6 +155,10 @@ def mode_needed(sc: Scenario) -> dict[str, list[bool]]:
       pv_gen[t] plus those deliverable rates minus own use. The price test
       also keeps the binary of a lossless device (eta = 1) and wherever
       sell[t] <= max(penalties).
+
+    The same room makes the export sum an identity: where it is within the
+    export cap, pv_sold + sum(sold) lies in [0, cap] by its terms' bounds,
+    so grid_sell can be substituted out unless a grid binary needs it.
     """
     T = sc.grid.T
     buy, sell = sc.tariff.buy.tolist(), sc.tariff.sell.tolist()
@@ -154,15 +167,13 @@ def mode_needed(sc: Scenario) -> dict[str, list[bool]]:
     for dev in sc.storage:
         for t in range(dev.window[0], dev.window[1] + 1):
             room[t] += dev.spec.discharge_rate * dev.spec.discharge_eff
+    export = [g or r > sc.caps[1] for g, r in zip(grid, room)]
 
     def storage(spec: StorageSpec) -> list[bool]:
         loss = 1.0 - spec.charge_eff * spec.discharge_eff
-        return [
-            grid[t] or sell[t] * loss <= max(sc.penalties) or room[t] > sc.caps[1]
-            for t in range(T)
-        ]
+        return [export[t] or sell[t] * loss <= max(sc.penalties) for t in range(T)]
 
-    return {"grid": grid, **{dev.name: storage(dev.spec) for dev in sc.storage}}
+    return {"grid": grid, "export": export, **{dev.name: storage(dev.spec) for dev in sc.storage}}
 
 
 def _add_mode(model: MILPModel, label: str, t: int, on: tuple, off: tuple) -> int:
@@ -223,8 +234,9 @@ def _add_storage_block(
 def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
     """Compile a scenario into a MILP and its variable map.
 
-    Mode binaries appear only where `mode_needed` says they can matter;
-    `full=True` gives the paper's model with a mode binary everywhere.
+    Mode binaries appear only where `mode_needed` says they can matter, and
+    pv_used and grid_sell are substituted out as far as that is exact;
+    `full=True` gives the paper's model with every row and binary.
     """
     T = sc.grid.T
     dt = sc.grid.dt
@@ -236,13 +248,17 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
         keep = dict.fromkeys(keep, [True] * T)
 
     grid_buy = tuple(model.add_continuous(f"grid_buy_{t}", 0.0, n1) for t in range(T))
-    grid_sell = tuple(model.add_continuous(f"grid_sell_{t}", 0.0, n2) for t in range(T))
+    grid_sell = {
+        t: model.add_continuous(f"grid_sell_{t}", 0.0, n2) for t in range(T) if keep["export"][t]
+    }
     grid_mode = {
         t: _add_mode(model, "grid", t, ("buy", grid_buy[t], n1), ("sell", grid_sell[t], n2))
         for t in range(T)
         if keep["grid"][t]
     }
-    pv_used = tuple(model.add_continuous(f"pv_used_{t}", 0.0, pv_gen[t]) for t in range(T))
+    pv_used = None
+    if full:
+        pv_used = tuple(model.add_continuous(f"pv_used_{t}", 0.0, pv_gen[t]) for t in range(T))
     pv_sold = tuple(model.add_continuous(f"pv_sold_{t}", 0.0, pv_gen[t]) for t in range(T))
 
     storage = [(dev, _add_storage_block(model, dev, dt, keep[dev.name])) for dev in sc.storage]
@@ -282,26 +298,36 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
     for t in range(T):
         present = [(dev, v) for dev, v in storage if dev.window[0] <= t <= dev.window[1]]
         # Home power balance: supply meets served load plus device charging.
-        terms = [(grid_buy[t], 1.0), (pv_used[t], 1.0)]
+        if full:
+            terms, rhs = [(grid_buy[t], 1.0), (pv_used[t], 1.0)], fixed_load[t]
+        else:
+            terms, rhs = [(grid_buy[t], 1.0), (pv_sold[t], -1.0)], fixed_load[t] - pv_gen[t]
         for _, v in present:
             terms += [(v.used[t], 1.0), (v.charge[t], -1.0)]
         terms += [(vid, -load) for vid, load in incoming[t]]
-        model.add_constraint(terms, "=", fixed_load[t], f"balance_{t}")
+        model.add_constraint(terms, "=", rhs, f"balance_{t}")
 
         # PV energy conservation.
-        model.add_constraint(
-            [(pv_used[t], 1.0), (pv_sold[t], 1.0)], "=", pv_gen[t], f"pv_balance_{t}"
-        )
+        if full:
+            model.add_constraint(
+                [(pv_used[t], 1.0), (pv_sold[t], 1.0)], "=", pv_gen[t], f"pv_balance_{t}"
+            )
 
-        # Total export aggregation.
-        terms = [(grid_sell[t], 1.0), (pv_sold[t], -1.0)]
-        terms += [(v.sold[t], -1.0) for _, v in present]
-        model.add_constraint(terms, "=", 0.0, f"export_sum_{t}")
+        # Total export aggregation; where it is substituted out, the sale
+        # price moves onto each source.
+        sale = 0.0
+        obj.append((grid_buy[t], buy[t] * dt))
+        if t in grid_sell:
+            terms = [(grid_sell[t], 1.0), (pv_sold[t], -1.0)]
+            terms += [(v.sold[t], -1.0) for _, v in present]
+            model.add_constraint(terms, "=", 0.0, f"export_sum_{t}")
+            obj.append((grid_sell[t], -sell[t] * dt))
+        else:
+            sale = -sell[t] * dt
 
         # Objective: energy bill plus the export-priority penalties.
-        obj += [(grid_buy[t], buy[t] * dt), (grid_sell[t], -sell[t] * dt),
-                (pv_sold[t], sc.penalties[0] * dt)]
-        obj += [(v.sold[t], dev.penalty * dt) for dev, v in present]
+        obj.append((pv_sold[t], sc.penalties[0] * dt + sale))
+        obj += [(v.sold[t], dev.penalty * dt + sale) for dev, v in present]
     model.set_objective(obj)
 
     # Rows on each device's last state of energy.
@@ -344,37 +370,40 @@ def schedule_from_values(
     """Decode a raw variable assignment (feasible or not) into a Schedule.
 
     Fractional delay-choice variables are decoded to the destination with the
-    largest weight (first on ties).
+    largest weight (first on ties). Substituted-out quantities are derived:
+    pv_used = pv_gen - pv_sold and grid_sell = pv_sold + the devices' sold.
     """
     sc = scenario
     T = sc.grid.T
 
-    shifts: dict[str, dict[int, int]] = {}
-    served = sc.non_deferrable.tolist()
+    shifts = np.full((len(sc.appliances), T), -1, dtype=np.int16)
+    served = sc.non_deferrable.copy()
     for ai, app in enumerate(sc.appliances):
-        adt = app.adt_intervals(sc.grid.dt)
+        per_src = varmap.shift.get(ai)
+        if per_src is None:  # no delay allowance: every block stays put
+            loaded = app.profile > 0.0
+            shifts[ai, loaded] = np.flatnonzero(loaded)
+            served += app.profile
+            continue
         profile = app.profile.tolist()
-        assign: dict[int, int] = {}
-        if adt == 0 or ai not in varmap.shift:
-            for src in range(T):
-                if profile[src] > 0.0:
-                    assign[src] = src
-                    served[src] += profile[src]
-        else:
-            for src, choices in varmap.shift[ai].items():
-                dst = max(choices, key=lambda c: values[c[1]])[0]
-                assign[src] = dst
-                served[dst] += profile[src]
-        shifts[app.name] = assign
+        for src, choices in per_src.items():
+            dst = max(choices, key=lambda c: values[c[1]])[0]
+            shifts[ai, src] = dst
+            served[dst] += profile[src]
 
-    flows = values[[*varmap.grid_buy, *varmap.grid_sell, *varmap.pv_used, *varmap.pv_sold]]
-    schedule = Schedule(
-        *flows.reshape(4, T),
-        served_load=served,
-        ess=_extract_device(varmap.ess, values, T) if varmap.ess else None,
-        ev=_extract_device(varmap.ev, values, T) if varmap.ev else None,
-        shifts=shifts,
-    )
+    ess = _extract_device(varmap.ess, values, T) if varmap.ess else None
+    ev = _extract_device(varmap.ev, values, T) if varmap.ev else None
+    grid_buy, pv_sold = values[[*varmap.grid_buy, *varmap.pv_sold]].reshape(2, T)
+    if varmap.pv_used is None:
+        pv_used = sc.pv_gen - pv_sold
+    else:
+        pv_used = values[list(varmap.pv_used)]
+    grid_sell = pv_sold.copy()
+    for dev in (ess, ev):
+        if dev is not None:
+            grid_sell += dev.sold
+    grid_sell[list(varmap.grid_sell)] = values[list(varmap.grid_sell.values())]
+    schedule = Schedule(grid_buy, grid_sell, pv_used, pv_sold, served, ess, ev, shifts)
     _clamp(schedule.series)
     return schedule
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .formulation import CostBreakdown, DeviceSchedule, Schedule
-from .scenario import Scenario
+from .scenario import MAX_INTERVALS, Scenario
 from .validation import AuditReport
 
 SCHEDULE_SCHEMA = "hems-schedule/1"
@@ -60,6 +60,7 @@ def schedule_to_csv(
     ess = schedule.ess or DeviceSchedule.zeros(T)
     ev = schedule.ev or DeviceSchedule.zeros(T)
     table = np.vstack([schedule.series, ess.series, ev.series]).T.tolist()
+    dests = [["" if d < 0 else str(d) for d in row] for row in schedule.shifts.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema: {SCHEDULE_SCHEMA}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -67,9 +68,7 @@ def schedule_to_csv(
         for t, values in enumerate(table):
             row = [str(t), _fmt((origin_hour + t * dt) % 24.0)]
             row += [_fmt(v) for v in values]
-            for name in app_names:
-                dst = schedule.shifts.get(name, {}).get(t)
-                row.append("" if dst is None else str(dst))
+            row += [column[t] for column in dests]
             writer.writerow(row)
 
 
@@ -109,7 +108,7 @@ def schedule_from_csv(path, scenario: Scenario) -> Schedule:
     quantities = _BASE_COLUMNS[2:]
     first_shift = len(_BASE_COLUMNS)
     numbers: list[float] = []
-    shifts: dict[str, dict[int, int]] = {name: {} for name in app_names}
+    shifts = np.full((len(app_names), T), -1, dtype=np.int16)
     for t, (line_num, row) in enumerate(rows):
         try:
             interval = int(row[0])
@@ -126,15 +125,18 @@ def schedule_from_csv(path, scenario: Scenario) -> Schedule:
                 raise ScheduleCSVError(
                     f"{path}: line {line_num}: bad number {raw!r} in column {name}"
                 ) from exc
-        for app, raw in zip(app_names, row[first_shift:]):
+        for a, raw in enumerate(row[first_shift:]):
             if raw == "":
                 continue
             try:
-                shifts[app][t] = int(raw)
-            except ValueError as exc:
+                dst = int(raw)
+            except ValueError:
+                dst = -1  # not an integer: reported below
+            if not 0 <= dst <= MAX_INTERVALS:  # held as int16
                 raise ScheduleCSVError(
-                    f"{path}: line {line_num}: bad destination {raw!r} for {app}"
-                ) from exc
+                    f"{path}: line {line_num}: bad destination {raw!r} for {app_names[a]}"
+                )
+            shifts[a, t] = dst
 
     # One row per quantity: the household's five, then the ESS's, then the EV's.
     table = np.array(numbers).reshape(T, len(quantities)).T

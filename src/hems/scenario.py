@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ SCENARIO_SCHEMA = "hems-scenario/1"
 
 DEFAULT_PENALTIES = (1e-4, 2e-4, 3e-4)  # cents/kWh on pv/ess/ev exports
 CASES = ("A", "B", "C", "D")
+MAX_INTERVALS = 32767  # a schedule holds destination intervals as int16
 _LIMIT_KEYS = ("import_cap", "export_cap")  # the document's names for big_m
 _PENALTY_KEYS = ("pv_sold", "ess_sold", "ev_sold")
 
@@ -221,8 +223,8 @@ def _check_storage(name: str, s: StorageSpec) -> None:
 
 def validate(sc: Scenario) -> Scenario:
     """Check every invariant; returns the scenario for chaining."""
-    if sc.grid.T < 1:
-        raise ScenarioError("grid.intervals: must be >= 1")
+    if not (1 <= sc.grid.T <= MAX_INTERVALS):
+        raise ScenarioError(f"grid.intervals: must lie in [1, {MAX_INTERVALS}], got {sc.grid.T}")
     _check_finite("grid.interval_hours", sc.grid.dt)
     if not (sc.grid.dt > 0):
         raise ScenarioError("grid.interval_hours: must be positive")
@@ -403,7 +405,7 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
         _require_keys(where, block, {"name", "adt_hours", "profile"})
         appliances.append(
             ApplianceSpec(
-                name=str(block["name"]),
+                name=sys.intern(str(block["name"])),
                 profile=_resolve_series(f"{where}.profile", block["profile"], T, base_dir),
                 adt_hours=_number(f"{where}.adt_hours", block["adt_hours"]),
             )

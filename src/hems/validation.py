@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulation import Schedule, VarMap, build_model, schedule_from_values, shift_destinations
-from .milp import MILPModel, OPTIMAL
+from .formulation import Schedule, build_model, schedule_from_values, shift_destinations
+from .milp import OPTIMAL
 from .milp.simplex import CompiledLP, solve_compiled
 from .scenario import Device, Scenario
 
@@ -183,21 +183,25 @@ def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
     served = sc.non_deferrable.tolist()
     scheduled_deferrable = 0.0
     served_deferrable = 0.0
-    for app in sc.appliances:
+    if schedule.shifts.shape != (len(sc.appliances), T):
+        raise ValueError(
+            f"shifts shape {schedule.shifts.shape} does not match "
+            f"{len(sc.appliances)} appliances x {T} intervals"
+        )
+    for app, assign in zip(sc.appliances, schedule.shifts.tolist()):
         adt = app.adt_intervals(dt)
-        assign = schedule.shifts.get(app.name, {})
         for src, load in enumerate(app.profile.tolist()):
             if load <= 0.0:
                 continue
             scheduled_deferrable += load * dt
-            if src not in assign:
+            dst = assign[src]
+            if dst < 0:
                 shf.check(1.0, 0.0, src, app.name)  # missing assignment
                 continue
-            dst = assign[src]
             shf.check(float(src - dst), 0.0, src, app.name)  # delay only
             last = max(shift_destinations(T, src, adt))
             shf.check(float(dst - last), 0.0, src, app.name)  # within tolerance
-            if 0 <= dst < T:
+            if dst < T:
                 served[dst] += load
                 served_deferrable += load * dt
             # Shifted-out load cannot exceed the scheduled block.
@@ -266,48 +270,6 @@ def brute_force_optimum(scenario: Scenario) -> tuple[float, Schedule | None]:
     if best_x is None:
         return math.inf, None
     return best_obj, schedule_from_values(scenario, varmap, best_x)
-
-
-# ---------------------------------------------------------------------------
-# schedule -> model assignment (test backbone)
-
-def schedule_to_values(
-    scenario: Scenario, model: MILPModel, varmap: VarMap, schedule: Schedule
-) -> np.ndarray:
-    """Map a Schedule back onto model variables.
-
-    Mode binaries are reconstructed from the flows where the model has them
-    (charging/buying side wins when both are active, which then shows up as
-    a row violation, matching the audit verdict; so on the full model only).
-    Destinations outside the admissible set cannot be represented and leave
-    their choice row unsatisfied.
-    """
-    values = np.zeros(model.num_variables)
-
-    for ids, row in zip(
-        (varmap.grid_buy, varmap.grid_sell, varmap.pv_used, varmap.pv_sold), schedule.series
-    ):
-        values[list(ids)] = row
-    for t, vid in varmap.grid_mode.items():
-        values[vid] = 1.0 if schedule.grid_buy[t] > 0.0 else 0.0
-    for vars_, dev in ((varmap.ess, schedule.ess), (varmap.ev, schedule.ev)):
-        if vars_ is None or dev is None:
-            continue
-        lo, hi = vars_.window
-        for ids, row in zip(
-            (vars_.charge, vars_.discharge, vars_.used, vars_.sold, vars_.soe), dev.series
-        ):
-            values[list(ids.values())] = row[lo:hi + 1]
-        for t, vid in vars_.mode.items():
-            values[vid] = 1.0 if dev.charge[t] > 0.0 else 0.0
-    for ai, app in enumerate(scenario.appliances):
-        per_src = varmap.shift.get(ai, {})
-        assign = schedule.shifts.get(app.name, {})
-        for src, choices in per_src.items():
-            dst = assign.get(src)
-            for d, vid in choices:
-                values[vid] = 1.0 if d == dst else 0.0
-    return values
 
 
 # ---------------------------------------------------------------------------

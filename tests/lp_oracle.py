@@ -1,9 +1,13 @@
-"""Independent LP oracle: exhaustive enumeration of candidate vertices.
+"""Independent oracles the tests check the solver and the audit against.
 
-A vertex of {rows, box bounds} is determined by an active set: k tight rows
+`enumerate_lp_optimum`: exhaustive enumeration of candidate vertices. A
+vertex of {rows, box bounds} is determined by an active set: k tight rows
 plus n-k variables pinned at a bound. Enumerating every such combination and
 keeping the best feasible candidate gives the exact optimum for boxed LPs,
 with no simplex machinery involved.
+
+`schedule_to_values`: a schedule mapped onto the variables of the paper's
+full model, whose rows then judge it independently of the audit.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import math
 
 import numpy as np
 
+from hems.formulation import Schedule, VarMap
 from hems.milp import INFEASIBLE, MILPModel, OPTIMAL
+from hems.scenario import Scenario
 
 FEAS_EPS = 1e-8
 
@@ -73,6 +79,47 @@ def enumerate_lp_optimum(model: MILPModel) -> tuple[str, float]:
     if not found:
         return INFEASIBLE, math.nan
     return OPTIMAL, best
+
+
+def schedule_to_values(
+    scenario: Scenario, model: MILPModel, varmap: VarMap, schedule: Schedule
+) -> np.ndarray:
+    """Map a Schedule onto the variables of `build_model(scenario, full=True)`.
+
+    Mode binaries are reconstructed from the flows (charging/buying side wins
+    when both are active, which then shows up as a row violation, matching
+    the audit verdict). Destinations outside the admissible set cannot be
+    represented and leave their choice row unsatisfied. A solved model has
+    substituted out pv_used and some grid_sell and is refused.
+    """
+    T = scenario.grid.T
+    if varmap.pv_used is None or len(varmap.grid_sell) != T:
+        raise ValueError("schedule_to_values needs the full model (build_model(full=True))")
+    values = np.zeros(model.num_variables)
+
+    grid_sell = list(varmap.grid_sell.values())
+    for ids, row in zip(
+        (varmap.grid_buy, grid_sell, varmap.pv_used, varmap.pv_sold), schedule.series
+    ):
+        values[list(ids)] = row
+    for t, vid in varmap.grid_mode.items():
+        values[vid] = 1.0 if schedule.grid_buy[t] > 0.0 else 0.0
+    for vars_, dev in ((varmap.ess, schedule.ess), (varmap.ev, schedule.ev)):
+        if vars_ is None or dev is None:
+            continue
+        lo, hi = vars_.window
+        for ids, row in zip(
+            (vars_.charge, vars_.discharge, vars_.used, vars_.sold, vars_.soe), dev.series
+        ):
+            values[list(ids.values())] = row[lo:hi + 1]
+        for t, vid in vars_.mode.items():
+            values[vid] = 1.0 if dev.charge[t] > 0.0 else 0.0
+    for ai, per_src in varmap.shift.items():
+        for src, choices in per_src.items():
+            dst = schedule.shifts[ai, src]
+            for d, vid in choices:
+                values[vid] = 1.0 if d == dst else 0.0
+    return values
 
 
 def random_boxed_lp(rng: np.random.Generator, max_vars: int = 7, max_rows: int = 5) -> MILPModel:

@@ -165,10 +165,13 @@ def test_c7_export_priority():
 def test_c8_no_early_shift(hourly_sweep):
     """Destinations within [src, src+adt] on all sweep cases + 100 random ones."""
     def check(scenario, schedule):
-        for app in scenario.appliances:
+        for app, dests in zip(scenario.appliances, schedule.shifts.tolist()):
             adt = app.adt_intervals(scenario.grid.dt)
-            for src, dst in schedule.shifts[app.name].items():
-                assert src <= dst <= src + adt, (app.name, src, dst)
+            for src, dst in enumerate(dests):
+                if app.profile[src] > 0:
+                    assert src <= dst <= src + adt, (app.name, src, dst)
+                else:
+                    assert dst == -1, (app.name, src, dst)
 
     for (case, dsm), (scenario, result) in hourly_sweep.items():
         check(scenario, result.schedule)

@@ -117,6 +117,16 @@ def test_node_limit_below_one_is_a_usage_error(runner, tmp_path, command, limit)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("hour", ["inf", "-inf", "nan"])
+def test_non_finite_origin_hour_is_a_usage_error(runner, tmp_path, command, hour):
+    out = tmp_path / "r"
+    result = runner.invoke(main, [command, HOURLY, "--origin-hour", hour, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--origin-hour" in result.output
+    assert not out.exists()
+
+
 def test_solve_numerical_failure_exits_nonzero(runner, tmp_path, monkeypatch):
     import numpy as np
 
@@ -400,7 +410,24 @@ def test_schedule_csv_round_trip(tmp_path, hourly_sweep):
 
     assert np.allclose(again.grid_buy, result.schedule.grid_buy, atol=1e-9)
     assert np.allclose(again.ev.soe, result.schedule.ev.soe, atol=1e-9)
-    assert again.shifts == result.schedule.shifts
+    assert again.shifts.dtype == np.int16
+    assert np.array_equal(again.shifts, result.schedule.shifts)
+
+
+@pytest.mark.parametrize("dest", ["-1", "32768", "2.5"])
+def test_schedule_csv_rejects_unrepresentable_destination(tmp_path, hourly_sweep, dest):
+    scenario, result = hourly_sweep[("D", True)]
+    path = tmp_path / "d.csv"
+    schedule_to_csv(result.schedule, scenario, path)
+    lines = path.read_text().splitlines()
+    fields = lines[4].split(",")
+    fields[-1] = dest
+    lines[4] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    from hems.io import ScheduleCSVError
+
+    with pytest.raises(ScheduleCSVError, match="line 5: bad destination"):
+        schedule_from_csv(path, scenario)
 
 
 def test_schedule_csv_parse_error_has_line_number(tmp_path, hourly_sweep):

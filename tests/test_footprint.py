@@ -12,18 +12,16 @@ from hems.formulation import solve_scenario
 from hems.io import schedule_from_csv, schedule_to_csv
 from hems.scenario import load_scenario, synth_case
 
-HOURLY = Path(__file__).resolve().parent.parent / "scenarios" / "reference_hourly.yaml"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 KEPT = 20
-BUDGET_BYTES = 15 * 1024
 
 
-def test_kept_household_fits_budget(tmp_path):
-    """Hourly reference case D, DSM off: a kept (scenario, schedule, schedule
-    read back from its CSV) triple holds at most 15 KB."""
-    csv_path = tmp_path / "schedule.csv"
+def kept_bytes(reference: Path, csv_path: Path) -> float:
+    """Bytes one kept (scenario, schedule, schedule read back from its CSV)
+    triple of `reference` case D, DSM off, holds."""
 
     def household():
-        sc = synth_case("D", False, load_scenario(HOURLY))
+        sc = synth_case("D", False, load_scenario(reference))
         schedule = solve_scenario(sc).schedule
         schedule_to_csv(schedule, sc, csv_path)
         return sc, schedule, schedule_from_csv(csv_path, sc)
@@ -35,7 +33,18 @@ def test_kept_household_fits_budget(tmp_path):
         before = tracemalloc.get_traced_memory()[0]
         kept = [household() for _ in range(KEPT)]
         gc.collect()
-        held = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+        return (tracemalloc.get_traced_memory()[0] - before) / len(kept)
     finally:
         tracemalloc.stop()
-    assert held <= BUDGET_BYTES, f"{held / 1024:.1f} KB per kept household"
+
+
+def test_kept_household_fits_budget(tmp_path):
+    """Hourly reference case D, DSM off: a kept triple holds at most 12 KB."""
+    held = kept_bytes(SCENARIOS / "reference_hourly.yaml", tmp_path / "schedule.csv")
+    assert held <= 12 * 1024, f"{held / 1024:.1f} KB per kept household"
+
+
+def test_kept_halfhour_household_fits_budget(tmp_path):
+    """Half-hour reference case D, DSM off: a kept triple holds at most 20 KB."""
+    held = kept_bytes(SCENARIOS / "reference_halfhour.yaml", tmp_path / "schedule.csv")
+    assert held <= 20 * 1024, f"{held / 1024:.1f} KB per kept household"

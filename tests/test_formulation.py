@@ -86,10 +86,23 @@ def test_case_a_structure(hourly_reference):
     assert all(name.startswith("u_grid") for name in binaries)
     balance_rows = [c for c in model.constraints if c.tag.startswith("balance_")]
     assert len(balance_rows) == 24
-    # sell < buy in every interval: the solved model drops the grid modes.
+    # sell < buy in every interval: the solved model drops the grid modes
+    # (two rows each), the PV split and the export sum, leaving the balance.
     reduced, varmap = build_model(sc)
     assert not reduced.binary_ids() and not varmap.grid_mode
-    assert reduced.num_constraints == model.num_constraints - 2 * 24
+    assert reduced.num_constraints == model.num_constraints - 4 * 24 == 24
+    assert varmap.pv_used is None and not varmap.grid_sell
+    assert reduced.num_variables == model.num_variables - 3 * 24 == 2 * 24
+
+
+@pytest.mark.parametrize("case, rows", [("A", 48), ("B", 48), ("C", 145), ("D", 194)])
+def test_solved_model_rows_without_dsm(halfhour_reference, case, rows):
+    """Balance rows, plus each device's split and state rows and its end row:
+    no PV split and, at the automatic export cap, no export sum is left."""
+    model, _ = build_model(synth_case(case, False, halfhour_reference))
+    assert model.num_constraints == rows
+    tags = {c.tag.rsplit("_", 1)[0] for c in model.constraints}
+    assert not tags & {"pv_balance", "export_sum"}
 
 
 def test_single_block_shift_variables():
@@ -169,7 +182,8 @@ def test_shift_decode_lands_block():
     for (dst, vid) in varmap.shift[0][3]:
         values[vid] = 1.0 if dst == 5 else 0.0
     schedule = schedule_from_values(sc, varmap, values)
-    assert schedule.shifts["dw"][3] == 5
+    assert schedule.shifts[0, 3] == 5
+    assert schedule.shifts.dtype == np.int16
     assert schedule.served_load[5] == pytest.approx(1.0 + 1.2)
     assert schedule.served_load[3] == pytest.approx(1.0)
 
@@ -188,7 +202,7 @@ def test_identity_shift_preserves_profile():
     schedule = schedule_from_values(sc, varmap, values)
     expected = np.array(sc.non_deferrable) + np.array([0.5, 0.3, 0.7])
     assert np.allclose(schedule.served_load, expected)
-    assert schedule.shifts["b"] == {1: 1}  # zero-ADT appliance pinned in place
+    assert schedule.shifts.tolist() == [[0, -1, 2], [-1, 1, -1]]  # zero-ADT "b" stays put
 
 
 def test_pv_split_rechecked_on_case_b(hourly_sweep):
@@ -222,7 +236,7 @@ def test_cost_single_interval_buy():
         served_load=np.array([2.0]),
         ess=None,
         ev=None,
-        shifts={},
+        shifts=np.empty((0, 1), dtype=np.int16),
     )
     cost = compute_cost(schedule, sc.tariff, sc.penalties, sc.grid.dt)
     assert cost.bill == pytest.approx(20.0)
@@ -240,7 +254,7 @@ def test_cost_pv_export_with_priority_penalty():
         served_load=np.zeros(1),
         ess=None,
         ev=None,
-        shifts={},
+        shifts=np.empty((0, 1), dtype=np.int16),
     )
     cost = compute_cost(schedule, sc.tariff, sc.penalties, sc.grid.dt)
     assert cost.bill == pytest.approx(-3.0)
@@ -258,7 +272,7 @@ def test_cost_length_mismatch():
         served_load=np.zeros(1),
         ess=None,
         ev=None,
-        shifts={},
+        shifts=np.empty((0, 1), dtype=np.int16),
     )
     with pytest.raises(ValueError, match="length"):
         compute_cost(schedule, sc.tariff, sc.penalties, sc.grid.dt)
@@ -312,10 +326,10 @@ def test_shift_conservation(hourly_sweep):
 
 def test_no_early_shift(hourly_sweep):
     for (case, dsm), (scenario, result) in hourly_sweep.items():
-        for app in scenario.appliances:
+        for app, dests in zip(scenario.appliances, result.schedule.shifts.tolist()):
             adt = app.adt_intervals(scenario.grid.dt)
-            for src, dst in result.schedule.shifts[app.name].items():
-                assert src <= dst <= src + adt, (case, dsm, app.name)
+            for src in np.flatnonzero(app.profile > 0):
+                assert src <= dests[src] <= src + adt, (case, dsm, app.name)
 
 
 def test_mutual_exclusivity(hourly_sweep):
@@ -400,41 +414,41 @@ def test_export_priority_prefers_pv():
 # any variable, row, bound, tag or objective term, or to their order, changes
 # a digest, so a refactor of build_model must leave every one as it is.
 MODEL_DIGESTS = {
-    ("hourly", "A", False, False): "aaf54563ddba294accb4c40b9eba24b22c32894ca9943ed28018c1b93ed4b2ce",
+    ("hourly", "A", False, False): "844863d8c315988e23141e3e573efb7699b8104ad8f37d596d6a0e2c67f430b8",
     ("hourly", "A", False, True): "7e1f3e2d1436631dd735a908f31dbc46b0f72db9685c00b9e4ec450e419271c8",
-    ("hourly", "A", True, False): "7d69c0aa3261e059fac19f256b50eef9b8411134ed5718b81b287e8fed653aa9",
+    ("hourly", "A", True, False): "a1a0ac72abfe4503868918e4727e80014ef8b156b04030ad7b4ed92d953c3f96",
     ("hourly", "A", True, True): "800c709d7b690f9e8d33812354e29394946a553f8b52271db9c35580c703c764",
-    ("hourly", "B", False, False): "bba38726773bd9c1b574752ac09ab7f7d8bcefea67100d47b2a8f886bbf730b9",
+    ("hourly", "B", False, False): "935d79bf3e91eaf38d2d549aa3d7387753c0676db8d575fc6a5a8eff6765dcff",
     ("hourly", "B", False, True): "ef281593810c513a3567b36ec38c3acd4f668b862292616c9acdc5122cd863a5",
-    ("hourly", "B", True, False): "b18c5a6368903fb5d9c945f1932733415fa7146c040dd1382300a45fe4f0e094",
+    ("hourly", "B", True, False): "b832bd5d020ffde4a3fa034413c96405c99ce9535ab327afb1d8c2967a2ff3d6",
     ("hourly", "B", True, True): "a04f2ee6bd688038249f89e156a1864c853eb6ffde5dab8c1bcb415187333c96",
-    ("hourly", "C", False, False): "82d4d3de13f2584fa0f7b9e3121e670bc3eb273b09e831df15eef98fa64deffc",
+    ("hourly", "C", False, False): "f0d5859457a6097b89c6676051df3579b563cdfcd58242c94997901a2dfa03a9",
     ("hourly", "C", False, True): "f34870a01de0fd8923ce3abd42c9fccff16a0275f30549b8e932f793c590fddd",
-    ("hourly", "C", True, False): "7a8b91d64458dbd17700ed9ffef2520093d49ff95f1a3f452640c3f9dfa07eca",
+    ("hourly", "C", True, False): "a891dca1e4dfcef8524acbaba286985f48e4a9c8ab1e837cb6e1771f3c7e4511",
     ("hourly", "C", True, True): "64baf4d96538838433dd4e2043a618732e34499b942abb17c7dfe2f8293be8e4",
-    ("hourly", "D", False, False): "edf003c7ef68eaab1f27726565a62e3b2f79f9a3d6f63c03c500054bd543949d",
+    ("hourly", "D", False, False): "01d964d1294a309253fde8b9315a3def747c70c3c5760074db093776f819cd5f",
     ("hourly", "D", False, True): "042f21d7734b242b5ba863254b2bf5e759bd57b5f0c3c6dfcfa6dc456dc4c53e",
-    ("hourly", "D", True, False): "d881b30a92e39fa8f12e6c781cc6dbdb2c3c384e746c9fb5aaf7758dc444afff",
+    ("hourly", "D", True, False): "399408e4d92c81e0a2703c755541a607a7a638973f2a14dd8d56c9ba7eb2d32a",
     ("hourly", "D", True, True): "d0dde21b04034d01a6893a7e9ccbe378517360adefc457499eeffcf369c96424",
-    ("halfhour", "A", False, False): "ac56e35bd02b0a8c5ccb82cfad45d8f4cb04489fbaa48f96d46059adc4007bcb",
+    ("halfhour", "A", False, False): "8be3dfe09573e0fbedf545b2eedb1d7bb0ce9a8967c4ce40993d8b505cf87a79",
     ("halfhour", "A", False, True): "3cf15a1cbacf16ad21032d398b693f229da8dee30474eafb949a5ec673b4ebde",
-    ("halfhour", "A", True, False): "903f74aace663851be199b733653aaed1fe6ef6d27be25e2a7e9cea3430897f6",
+    ("halfhour", "A", True, False): "3e7752e04e48912eb024cc6945ed2d77edeca2cdc972fdae37ae86901b781fa1",
     ("halfhour", "A", True, True): "c200f7df4546022a301a0a45ad54e40816982c84113769777b4cbb97cad39aad",
-    ("halfhour", "B", False, False): "b904685aefb7acc13191e82c979a4d7878b5a77d1b9b3725870443e0a969348c",
+    ("halfhour", "B", False, False): "ec9467501976b5710d5c9a92869d25e83842e73c127a91c124ab4537a4073d4b",
     ("halfhour", "B", False, True): "678632f6675ec2377f30f279b87f9927d8b0e3d263e4284703026017213825cc",
-    ("halfhour", "B", True, False): "7fc3e722240314193f237b1ced2612bf5fd6053ad5beace21fab4f5803f2b2bc",
+    ("halfhour", "B", True, False): "a5ddf283f68e3c2b125fabf34a526fe4a43badcfb91e29746c7e8aad0bd783e7",
     ("halfhour", "B", True, True): "0ddf0468b56393dad607c0aea7e73d1de3939300c7dada0b7922087694221240",
-    ("halfhour", "C", False, False): "8a9a7158731c4c531ade1858dcf2832d53b4759a94e0d0d73eda8f7c24679cd4",
+    ("halfhour", "C", False, False): "4c2d36c05c1ff6dba3575c2a69cc48923c5da104d17b2588225861980a2406e5",
     ("halfhour", "C", False, True): "824ba09bad26517a50dd5cca276f01bcaab3f974126b3e333a448e5609f1ecac",
-    ("halfhour", "C", True, False): "3a9175391ce6ca8c9928fda4cd8657bfec67171cd4149026d40e37b3775dc1bc",
+    ("halfhour", "C", True, False): "9f35a2d185509d5a17ffb1d4ee0e7156acb81588708e01d881baf5ec83b0c701",
     ("halfhour", "C", True, True): "86a5ec928acc12b8fffbe509221370f74ca03f77fea7b6b7914354046a3c4795",
-    ("halfhour", "D", False, False): "e93639492709b170cc1e00947a7f7749358e7a910f9e0779e2cbb3bf7ae9820c",
+    ("halfhour", "D", False, False): "0b6db1e91647178b4b5d1d88ff67f9a011be10bbda6d1bbabefe428b9cb3ac63",
     ("halfhour", "D", False, True): "6ee66e75cfc41994906a5aca90fcb9a04348c90ae2c404f5d726cec511240e5c",
-    ("halfhour", "D", True, False): "ef56fb426327bcc58564efeb1d38a03d4df6757e3420c1e3fefe06ccaf5c7b6f",
+    ("halfhour", "D", True, False): "babfd8075e4161f970414e64a0ccd718f986e70924836535c5ec0fa08932cb51",
     ("halfhour", "D", True, True): "df1e7e327ab344b281b89ee383713c4338f24f9bf139fde795f040760e30da2e",
-    ("no_end_reserve", "D", True, False): "4cb637ce9986ad4cc47d73fc9714f884058128291177ce46a3db78b498d18c1e",
+    ("no_end_reserve", "D", True, False): "423de16def93c62f64cfa577edfbe26c29d861eac04de721dab4890bfeb4c5ff",
     ("no_end_reserve", "D", True, True): "58e970eb9ca12bae54d60f09906907ad33e19fe27ae9f14c02338bd619426e5c",
-    ("ev_not_full", "D", True, False): "2e107513c8014a8e86037a41d224e4c04427843413342744cff4a3ae4b0bf648",
+    ("ev_not_full", "D", True, False): "a47de5cdb915158d85d05615b904b36757cf5ef75343f3c9c516b3e66ef32ff3",
     ("ev_not_full", "D", True, True): "f5f00cfe073d7e6e3b38ed0e4d603053e54caf035f4cd22c382692377c53ab2d",
 }
 

@@ -84,6 +84,7 @@ def test_tied_prices_keep_one_grid_binary(hourly_reference):
             sc = synth_case(case, dsm, base)
             _, varmap = build_model(sc)
             assert list(varmap.grid_mode) == [t]
+            assert list(varmap.grid_sell) == [t]  # the grid binary needs grid_sell
             assert list(varmap.ess.mode) == [t]
             assert not (varmap.ev and varmap.ev.mode)
             assert_matches_full_model(sc)
@@ -107,7 +108,8 @@ def test_tight_export_cap_keeps_storage_binaries(hourly_reference):
     """With the export cap at peak PV, storage binaries stay wherever PV plus
     the deliverable discharge rates of the devices present could exceed it:
     7 of 24 intervals in case C, 19 in case D (the EV counts only while it is
-    home)."""
+    home). The export sum keeps its row and grid_sell in exactly those
+    intervals, as no grid binary is left."""
     base = replace(hourly_reference, big_m=(None, max(hourly_reference.pv_gen)))
     for case, count in (("C", 7), ("D", 19)):
         for dsm in (False, True):
@@ -118,9 +120,12 @@ def test_tight_export_cap_keeps_storage_binaries(hourly_reference):
                 for t in range(sc.ev.arrival, sc.ev.departure + 1):
                     room[t] += sc.ev.storage.discharge_rate * sc.ev.storage.discharge_eff
             expected = [t for t in range(sc.grid.T) if room[t] > max(sc.pv_gen)]
-            _, varmap = build_model(sc)
+            model, varmap = build_model(sc)
             assert not varmap.grid_mode
             assert len(expected) == count and list(varmap.ess.mode) == expected
+            exports = [int(c.tag[len("export_sum_"):]) for c in model.constraints
+                       if c.tag.startswith("export_sum_")]
+            assert exports == list(varmap.grid_sell) == expected
             assert_matches_full_model(sc)
 
 
@@ -137,7 +142,9 @@ def test_low_feed_in_price_keeps_storage_binaries(monkeypatch):
     full = assert_matches_full_model(sc).solution.objective
 
     monkeypatch.setattr(
-        formulation, "mode_needed", lambda sc: {"grid": [False], "ess": [False], "ev": [False]}
+        formulation,
+        "mode_needed",
+        lambda sc: {"grid": [False], "export": [False], "ess": [False], "ev": [False]},
     )
     relaxed = solve_scenario(sc)
     assert relaxed.solution.objective < full - 1e-5

@@ -198,6 +198,7 @@ def test_explicit_limits_reach_every_case(hourly_reference):
          "ev.discharge_rate"),
         ({"ev": EVSpec(StorageSpec(1.0, 1.0, 1.0, 1.0, 0.0, math.inf, 2.0), 0, 1)}, "ev.soe_max"),
         ({"penalties": (1e-4, 2e-4, math.inf)}, "penalties.ev_sold"),
+        ({"grid": TimeGrid(32768, 1.0)}, "grid.intervals"),
     ],
 )
 def test_scenario_validates_on_construction(change, field):

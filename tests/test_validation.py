@@ -12,9 +12,9 @@ from hems.validation import (
     audit,
     brute_force_optimum,
     diagnose_infeasibility,
-    schedule_to_values,
 )
 
+from lp_oracle import schedule_to_values
 from scenario_gen import random_small_scenario
 from test_formulation import make_scenario, small_ess
 
@@ -49,7 +49,7 @@ def test_audit_flags_early_shift():
     sc = make_scenario(T=6, appliances=[app])
     result = solve_scenario(sc)
     schedule = clone_schedule(result.schedule)
-    schedule.shifts["dw"][5] = 4  # moved earlier
+    schedule.shifts[0, 5] = 4  # moved earlier
     schedule.served_load[4] += 1.0
     schedule.served_load[5] -= 1.0
     report = audit(sc, schedule)
@@ -87,14 +87,15 @@ def test_audit_completeness_every_mutation_caught(hourly_sweep):
                 schedule = clone_schedule(result.schedule)
                 getattr(getattr(schedule, dev), field)[t] += 0.1
                 assert not audit(scenario, schedule).passed, (dev, field, t)
-    for app in scenario.appliances:
-        for src, dst in result.schedule.shifts[app.name].items():
-            adt = app.adt_intervals(scenario.grid.dt)
-            for other in range(max(0, src - 1), min(T, src + adt + 2)):
+    for ai, app in enumerate(scenario.appliances):
+        adt = app.adt_intervals(scenario.grid.dt)
+        for src in np.flatnonzero(app.profile > 0):
+            dst = result.schedule.shifts[ai, src]
+            for other in (-1, *range(max(0, src - 1), min(T, src + adt + 2))):
                 if other == dst:
                     continue
                 schedule = clone_schedule(result.schedule)
-                schedule.shifts[app.name][src] = other
+                schedule.shifts[ai, src] = other
                 assert not audit(scenario, schedule).passed, (app.name, src, other)
 
 
@@ -151,7 +152,7 @@ def test_two_interval_hand_enumeration():
     stay = 12.0 * 1.5 + 7.0 * 0.5
     move = 12.0 * 0.5 + 7.0 * 1.5
     assert obj == pytest.approx(min(stay, move), abs=1e-9)
-    assert schedule.shifts["w"][0] == 1
+    assert schedule.shifts[0, 0] == 1
 
 
 def test_flat_prices_equal_no_shift_bill():
