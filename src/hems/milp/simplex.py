@@ -12,13 +12,13 @@ and is never materialized.
 
 Phase 1 needs no artificial columns. The start puts structural variables at
 their nearest finite bound and makes every slack basic, carrying the row
-residual b − A·x. A slack whose residual lies above its range is relaxed to
+residual b − A·x. Any basic variable that lies above its range is relaxed to
 [upper, +inf) with phase-1 cost +1, one below its range to (−inf, lower] with
 cost −1, so phase 1 minimizes the sum of bound violations (Maros,
-*Computational Techniques of the Simplex Method*, 2003). A relaxed slack can
-only leave the basis on the bound it violated, which is a bound of its real
-range: it gets that range back and loses its phase-1 cost there. At the end
-of phase 1 every slack gets its real range back.
+*Computational Techniques of the Simplex Method*, 2003). A relaxed variable
+can only leave the basis on the bound it violated, which is a bound of its
+true range: it gets that range back and loses its phase-1 cost there. At the
+end of phase 1 every variable gets its true range back.
 
 The basis inverse B⁻¹ is a dense m×m array, but each pivot only touches the
 part of it that the entering column w = B⁻¹a_q needs, and w is very sparse on
@@ -174,17 +174,19 @@ def solve_compiled(
 
     Status "numerical" means the arithmetic broke an invariant the method
     relies on: a phase-1 objective that decreases without bound, or a basis
-    that is singular at refactorization.
+    that is singular at refactorization. The objective is finite only when
+    the status is optimal, −inf when it is unbounded and nan otherwise; `x`
+    always holds the structural values where the method stopped.
     """
     n, m = core.n, core.m
     ntot = n + m
     b = core.b
-    slack_lo, slack_hi = core.slack_lower, core.slack_upper
 
-    lo = np.empty(ntot)
-    hi = np.empty(ntot)
-    lo[:n], hi[:n] = lower, upper
-    lo[n:], hi[n:] = slack_lo, slack_hi
+    # The true ranges of all n + m columns; phase 1 relaxes the working lo/hi.
+    true_lo = np.concatenate((lower, core.slack_lower))
+    true_hi = np.concatenate((upper, core.slack_upper))
+    lo = true_lo.copy()
+    hi = true_hi.copy()
 
     # Start: structural variables rest at their nearest finite bound; every
     # slack is basic and carries the row residual.
@@ -197,15 +199,16 @@ def solve_compiled(
     basis = np.arange(n, ntot)
     x[n:] = b - core.matvec(x[:n])
 
-    # A slack outside its range is relaxed to the far side of the bound it
-    # violates, with a phase-1 cost that pulls it back towards that bound.
-    above = np.flatnonzero(x[n:] > slack_hi)
-    below = np.flatnonzero(x[n:] < slack_lo)
-    lo[n + above], hi[n + above] = slack_hi[above], np.inf
-    lo[n + below], hi[n + below] = -np.inf, slack_lo[below]
+    # A basic variable outside its range is relaxed to the far side of the
+    # bound it violates, with a phase-1 cost that pulls it back towards that
+    # bound.
+    above = basis[x[basis] > hi[basis]]
+    below = basis[x[basis] < lo[basis]]
+    lo[above], hi[above] = hi[above], np.inf
+    lo[below], hi[below] = -np.inf, lo[below]
     phase1_cost = np.zeros(ntot)
-    phase1_cost[n + above] = 1.0
-    phase1_cost[n + below] = -1.0
+    phase1_cost[above] = 1.0
+    phase1_cost[below] = -1.0
 
     phase2_cost = np.zeros(ntot)
     phase2_cost[:n] = core.cost
@@ -387,11 +390,11 @@ def solve_compiled(
                 Binv[nz[:, None], cols] -= wz[:, None] * br[cols]
                 Binv[r_best] = br
                 pivots_since_refactor += 1
-                if phase == 1 and leave >= n:
-                    # A relaxed slack leaves on the bound it violated: give it
-                    # back its real range, rest it on that same bound, and
-                    # drop its phase-1 cost. (A no-op for unrelaxed slacks.)
-                    lo[leave], hi[leave] = slack_lo[leave - n], slack_hi[leave - n]
+                if phase == 1:
+                    # A relaxed variable leaves on the bound it violated: give
+                    # it back its true range, rest it on that same bound, and
+                    # drop its phase-1 cost. (A no-op for unrelaxed ones.)
+                    lo[leave], hi[leave] = true_lo[leave], true_hi[leave]
                     hit_upper = bool(x[leave] == hi[leave])
                     d[leave] -= cost[leave]
                     cost[leave] = 0.0
@@ -411,32 +414,27 @@ def solve_compiled(
                 bland = False
                 verify_rounds = 0
 
-    def run(cost: np.ndarray, phase: int) -> str:
-        try:
-            return run_phase(cost, phase)
-        except np.linalg.LinAlgError:
-            return NUMERICAL
-
-    # Phase 1 only if some slack was relaxed.
-    if above.size or below.size:
-        status = run(phase1_cost, phase=1)
-        if status in (ITERATION_LIMIT, NUMERICAL):
-            return SimplexResult(status, x[:n].copy(), float("nan"), iters)
-        xs = x[n:]
-        infeas = float(np.sum(np.maximum(slack_lo - xs, 0.0) + np.maximum(xs - slack_hi, 0.0)))
-        if infeas > feas_eps:
-            return SimplexResult(INFEASIBLE, x[:n].copy(), float("nan"), iters)
-        lo[n:], hi[n:] = slack_lo, slack_hi
-        np.clip(xs, slack_lo, slack_hi, out=xs)
-
-    status = run(phase2_cost, phase=2)
-    if status in (ITERATION_LIMIT, NUMERICAL):
-        return SimplexResult(status, x[:n].copy(), float("nan"), iters)
-    if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED, x[:n].copy(), -np.inf, iters)
+    status = OPTIMAL
+    try:
+        # Phase 1 only if some variable was relaxed.
+        if above.size or below.size:
+            status = run_phase(phase1_cost, phase=1)
+            if status == OPTIMAL:
+                infeas = np.maximum(true_lo - x, 0.0) + np.maximum(x - true_hi, 0.0)
+                if infeas.sum() > feas_eps:
+                    status = INFEASIBLE
+                else:
+                    lo[:], hi[:] = true_lo, true_hi
+                    np.clip(x, lo, hi, out=x)
+        if status == OPTIMAL:
+            status = run_phase(phase2_cost, phase=2)
+    except np.linalg.LinAlgError:
+        status = NUMERICAL
 
     xs = x[:n].copy()
-    return SimplexResult(OPTIMAL, xs, float(core.cost @ xs), iters)
+    objective = float(core.cost @ xs) if status == OPTIMAL else (
+        -np.inf if status == UNBOUNDED else float("nan"))
+    return SimplexResult(status, xs, objective, iters)
 
 
 def solve_lp(

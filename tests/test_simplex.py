@@ -16,6 +16,8 @@ from hems.milp import (
     MILPModel,
     solve_lp,
 )
+from hems.milp import simplex
+from hems.milp.simplex import CompiledLP, solve_compiled
 
 from lp_oracle import enumerate_lp_optimum, random_boxed_lp
 
@@ -134,6 +136,80 @@ def test_iteration_limit_status():
     m.add_constraint([(x, 1.0), (y, -1.0)], "=", 1.0, "b")
     m.set_objective([(x, 1.0), (y, 1.0)])
     assert solve_lp(m, iteration_limit=1).status == ITERATION_LIMIT
+
+
+def _two_relaxed_rows_model() -> MILPModel:
+    # Both slacks start out of range, and each must leave the basis, so
+    # phase 1 takes at least two pivots.
+    m = MILPModel()
+    x = m.add_continuous("x", 0.0, 10.0)
+    y = m.add_continuous("y", 0.0, 10.0)
+    m.add_constraint([(x, 1.0), (y, 1.0)], ">=", 5.0, "a")
+    m.add_constraint([(x, 1.0), (y, -1.0)], "=", 1.0, "b")
+    m.set_objective([(x, 1.0), (y, 1.0)])
+    return m
+
+
+def _feasible_start_model() -> MILPModel:
+    # The all-slack start is feasible, so there is no phase 1; phase 2 takes
+    # two pivots to reach x = 1.6, y = 1.2.
+    m = MILPModel()
+    x = m.add_continuous("x", 0.0, math.inf)
+    y = m.add_continuous("y", 0.0, math.inf)
+    m.add_constraint([(x, 1.0), (y, 2.0)], "<=", 4.0, "r1")
+    m.add_constraint([(x, 3.0), (y, 1.0)], "<=", 6.0, "r2")
+    m.set_objective([(x, -1.0), (y, -1.0)])
+    return m
+
+
+def _infeasible_model() -> MILPModel:
+    m = MILPModel()
+    x = m.add_continuous("x", 0.0, 1.0)
+    m.add_constraint([(x, 1.0)], ">=", 2.0, "too_high")
+    m.set_objective([(x, 1.0)])
+    return m
+
+
+@pytest.mark.parametrize(
+    "build, limit, singular, status",
+    [
+        (_two_relaxed_rows_model, 1, False, ITERATION_LIMIT),
+        (_feasible_start_model, 1, False, ITERATION_LIMIT),
+        (_two_relaxed_rows_model, None, True, NUMERICAL),
+        (_feasible_start_model, None, True, NUMERICAL),
+        (_infeasible_model, None, False, INFEASIBLE),
+        (_unbounded_model, None, False, UNBOUNDED),
+        (_feasible_start_model, None, False, OPTIMAL),
+    ],
+    ids=["phase1-iteration-limit", "phase2-iteration-limit", "phase1-singular",
+         "phase2-singular", "infeasible", "unbounded", "optimal"],
+)
+def test_every_exit_of_solve_compiled(monkeypatch, build, limit, singular, status):
+    model = build()
+    if singular:
+        # Refactorize after every pivot, and fail every refactorization:
+        # the second pivot of either phase then meets a singular basis.
+        def fail(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(simplex, "REFACTOR_EVERY", 1)
+        monkeypatch.setattr(np.linalg, "inv", fail)
+    core = CompiledLP(model)
+    lo, hi = model.bounds_arrays()
+    r = solve_compiled(core, lo, hi, *(() if limit is None else (limit,)))
+    assert r.status == status
+    assert r.x.shape == (model.num_variables,)
+    if status == OPTIMAL:
+        assert math.isfinite(r.objective)
+        assert r.objective == pytest.approx(-2.8, abs=1e-9)
+    elif status == UNBOUNDED:
+        assert r.objective == -math.inf
+    else:
+        assert math.isnan(r.objective)
+    if limit is not None:
+        assert r.iterations == limit
+    if singular:
+        assert r.iterations == 1
 
 
 def test_degenerate_cycling_guard():
