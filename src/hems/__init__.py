@@ -26,7 +26,7 @@ from .formulation import (
     extract_schedule,
     solve_scenario,
 )
-from .validation import AuditReport, audit, brute_force_optimum
+from .validation import AuditReport, audit
 
 __all__ = [
     "__version__",
@@ -55,5 +55,4 @@ __all__ = [
     "solve_scenario",
     "AuditReport",
     "audit",
-    "brute_force_optimum",
 ]

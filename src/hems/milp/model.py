@@ -171,9 +171,6 @@ class MILPModel:
             c[vid] = coef
         return c
 
-    def objective_value(self, values: np.ndarray) -> float:
-        return float(sum(coef * values[vid] for vid, coef in self.objective))
-
     # -- feasibility checking ----------------------------------------------
 
     def row_violations(self, values: np.ndarray) -> np.ndarray:

@@ -1,32 +1,21 @@
-"""Independent feasibility auditor and brute-force optimality oracle.
+"""Independent feasibility auditor and infeasibility hints.
 
 The auditor re-evaluates every constraint family from the scenario and the
-physical schedule alone (plain arithmetic, not the MILP rows), so it catches
-solver and formulation bugs alike. The oracle enumerates every binary fixing
-and solves the remaining LP, trusting nothing about branch-and-bound.
+physical schedule alone (plain arithmetic, not the MILP rows, and no helper
+of the formulation), so it catches solver and formulation bugs alike.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .formulation import Schedule, build_model, schedule_from_values, shift_destinations
-from .milp import OPTIMAL
-from .milp.simplex import CompiledLP, solve_compiled
+from .formulation import Schedule
 from .scenario import Device, Scenario
 
 AUDIT_TOL = 1e-6  # relative to (1 + |rhs|), as everywhere in the artifact
 AUDIT_SCHEMA = "hems-audit/1"
 
 FAMILIES = ("balance", "ess", "ev", "pv", "export", "exclusivity", "shifting")
-
-
-class OracleSizeError(ValueError):
-    """Raised when a scenario is too large for exhaustive enumeration."""
 
 
 @dataclass(frozen=True)
@@ -199,7 +188,7 @@ def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
                 shf.check(1.0, 0.0, src, app.name)  # missing assignment
                 continue
             shf.check(float(src - dst), 0.0, src, app.name)  # delay only
-            last = max(shift_destinations(T, src, adt))
+            last = min(src + adt, T - 1)
             shf.check(float(dst - last), 0.0, src, app.name)  # within tolerance
             if dst < T:
                 served[dst] += load
@@ -215,61 +204,6 @@ def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
         families=tuple(fams[name].result(AUDIT_TOL) for name in FAMILIES),
         tolerance=AUDIT_TOL,
     )
-
-
-# ---------------------------------------------------------------------------
-# brute-force optimum
-
-BRUTE_FORCE_LIMIT = 14
-
-
-def brute_force_optimum(scenario: Scenario) -> tuple[float, Schedule | None]:
-    """Global optimum by exhaustive enumeration of every binary fixing.
-
-    Enumeration is lexicographic with strict-improvement updates, so among
-    equal objectives the lexicographically smallest binary vector wins.
-    Always solves the paper's full model (`build_model(full=True)`), so it
-    does not depend on which mode binaries the solved model leaves out.
-    Fixings that break a row made of binaries alone (or a pre-fixed bound)
-    are infeasible whatever the LP does, and their LP is skipped.
-    Returns (inf, None) when no fixing is feasible. Refuses scenarios with
-    more than `BRUTE_FORCE_LIMIT` binaries.
-    """
-    model, varmap = build_model(scenario, full=True)
-    binaries = np.array(model.binary_ids(), dtype=int)
-    if len(binaries) > BRUTE_FORCE_LIMIT:
-        raise OracleSizeError(
-            f"scenario compiles to {len(binaries)} binary variables, above the "
-            f"exhaustive-enumeration limit of {BRUTE_FORCE_LIMIT} "
-            f"(model: {model.num_variables} variables, {model.num_constraints} rows)"
-        )
-    core = CompiledLP(model)
-    lo, hi = model.bounds_arrays()
-    fixings = np.array(list(itertools.product((0.0, 1.0), repeat=len(binaries))))
-    keep = np.all((fixings >= lo[binaries]) & (fixings <= hi[binaries]), axis=1)
-    col = {int(vid): k for k, vid in enumerate(binaries)}
-    for con in model.constraints:
-        if all(vid in col for vid, _ in con.terms):
-            gap = sum(coef * fixings[:, col[vid]] for vid, coef in con.terms) - con.rhs
-            tol = 1e-9 * (1.0 + abs(con.rhs))
-            if con.sense != ">=":
-                keep &= gap <= tol
-            if con.sense != "<=":
-                keep &= gap >= -tol
-    best_obj = math.inf
-    best_x: np.ndarray | None = None
-    for fixing in fixings[keep]:
-        flo, fhi = lo.copy(), hi.copy()
-        flo[binaries] = fhi[binaries] = fixing
-        res = solve_compiled(core, flo, fhi)
-        if res.status != OPTIMAL:
-            continue
-        if res.objective < best_obj - 1e-12 * (1.0 + abs(res.objective)):
-            best_obj = res.objective
-            best_x = res.x
-    if best_x is None:
-        return math.inf, None
-    return best_obj, schedule_from_values(scenario, varmap, best_x)
 
 
 # ---------------------------------------------------------------------------

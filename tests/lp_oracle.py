@@ -6,6 +6,10 @@ plus n-k variables pinned at a bound. Enumerating every such combination and
 keeping the best feasible candidate gives the exact optimum for boxed LPs,
 with no simplex machinery involved.
 
+`brute_force_optimum`: every binary fixing of the paper's full model
+enumerated, each remaining LP solved, trusting nothing about
+branch-and-bound.
+
 `schedule_to_values`: a schedule mapped onto the variables of the paper's
 full model, whose rows then judge it independently of the audit.
 """
@@ -17,8 +21,9 @@ import math
 
 import numpy as np
 
-from hems.formulation import Schedule, VarMap
+from hems.formulation import Schedule, VarMap, build_model, schedule_from_values
 from hems.milp import INFEASIBLE, MILPModel, OPTIMAL
+from hems.milp.simplex import CompiledLP, solve_compiled
 from hems.scenario import Scenario
 
 FEAS_EPS = 1e-8
@@ -79,6 +84,62 @@ def enumerate_lp_optimum(model: MILPModel) -> tuple[str, float]:
     if not found:
         return INFEASIBLE, math.nan
     return OPTIMAL, best
+
+
+class OracleSizeError(ValueError):
+    """Raised when a scenario is too large for exhaustive enumeration."""
+
+
+BRUTE_FORCE_LIMIT = 14
+
+
+def brute_force_optimum(scenario: Scenario) -> tuple[float, Schedule | None]:
+    """Global optimum by exhaustive enumeration of every binary fixing.
+
+    Enumeration is lexicographic with strict-improvement updates, so among
+    equal objectives the lexicographically smallest binary vector wins.
+    Always solves the paper's full model (`build_model(full=True)`), so it
+    does not depend on which mode binaries the solved model leaves out.
+    Fixings that break a row made of binaries alone (or a pre-fixed bound)
+    are infeasible whatever the LP does, and their LP is skipped.
+    Returns (inf, None) when no fixing is feasible. Refuses scenarios with
+    more than `BRUTE_FORCE_LIMIT` binaries.
+    """
+    model, varmap = build_model(scenario, full=True)
+    binaries = np.array(model.binary_ids(), dtype=int)
+    if len(binaries) > BRUTE_FORCE_LIMIT:
+        raise OracleSizeError(
+            f"scenario compiles to {len(binaries)} binary variables, above the "
+            f"exhaustive-enumeration limit of {BRUTE_FORCE_LIMIT} "
+            f"(model: {model.num_variables} variables, {model.num_constraints} rows)"
+        )
+    core = CompiledLP(model)
+    lo, hi = model.bounds_arrays()
+    fixings = np.array(list(itertools.product((0.0, 1.0), repeat=len(binaries))))
+    keep = np.all((fixings >= lo[binaries]) & (fixings <= hi[binaries]), axis=1)
+    col = {int(vid): k for k, vid in enumerate(binaries)}
+    for con in model.constraints:
+        if all(vid in col for vid, _ in con.terms):
+            gap = sum(coef * fixings[:, col[vid]] for vid, coef in con.terms) - con.rhs
+            tol = 1e-9 * (1.0 + abs(con.rhs))
+            if con.sense != ">=":
+                keep &= gap <= tol
+            if con.sense != "<=":
+                keep &= gap >= -tol
+    best_obj = math.inf
+    best_x: np.ndarray | None = None
+    for fixing in fixings[keep]:
+        flo, fhi = lo.copy(), hi.copy()
+        flo[binaries] = fhi[binaries] = fixing
+        res = solve_compiled(core, flo, fhi)
+        if res.status != OPTIMAL:
+            continue
+        if res.objective < best_obj - 1e-12 * (1.0 + abs(res.objective)):
+            best_obj = res.objective
+            best_x = res.x
+    if best_x is None:
+        return math.inf, None
+    return best_obj, schedule_from_values(scenario, varmap, best_x)
 
 
 def schedule_to_values(

@@ -15,9 +15,9 @@ import pytest
 from hems.formulation import build_model, solve_scenario
 from hems.milp import INFEASIBLE, OPTIMAL, solve_lp, solve_milp
 from hems.scenario import EVSpec, StorageSpec, synth_case
-from hems.validation import audit, brute_force_optimum
+from hems.validation import audit
 
-from lp_oracle import enumerate_lp_optimum, random_boxed_lp
+from lp_oracle import brute_force_optimum, enumerate_lp_optimum, random_boxed_lp
 from scenario_gen import random_small_scenario
 from test_formulation import make_scenario, small_ess
 

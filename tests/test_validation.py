@@ -7,14 +7,9 @@ import pytest
 from hems.formulation import build_model, solve_scenario
 from hems.milp import solve_milp
 from hems.scenario import ApplianceSpec, StorageSpec, synth_case
-from hems.validation import (
-    OracleSizeError,
-    audit,
-    brute_force_optimum,
-    diagnose_infeasibility,
-)
+from hems.validation import audit, diagnose_infeasibility
 
-from lp_oracle import schedule_to_values
+from lp_oracle import OracleSizeError, brute_force_optimum, schedule_to_values
 from scenario_gen import random_small_scenario
 from test_formulation import make_scenario, small_ess
 
