@@ -274,9 +274,16 @@ def default_big_m(
     ev: EVSpec | None,
     pv_gen,
 ) -> tuple[float, float]:
-    """Tightest safe caps: peak scheduled demand plus every charge rate on the
-    import side; peak PV plus every deliverable discharge rate on export."""
-    deferrable = sum((np.asarray(a.profile) for a in appliances), 0.0)
+    """Safe caps: peak demand plus every charge rate on the import side; peak
+    PV plus every deliverable discharge rate on export.
+
+    An appliance that may be delayed counts with its running total: any of
+    its blocks up to an interval can land there, and none from later ones.
+    """
+    deferrable = sum(
+        (np.cumsum(a.profile) if a.adt_hours > 0 else np.asarray(a.profile) for a in appliances),
+        0.0,
+    )
     n1 = float(np.max(np.asarray(non_deferrable) + deferrable))
     n2 = float(np.max(pv_gen)) if len(pv_gen) else 0.0
     for spec in (ess, ev.storage if ev else None):

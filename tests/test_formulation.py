@@ -416,40 +416,40 @@ def test_export_priority_prefers_pv():
 MODEL_DIGESTS = {
     ("hourly", "A", False, False): "844863d8c315988e23141e3e573efb7699b8104ad8f37d596d6a0e2c67f430b8",
     ("hourly", "A", False, True): "7e1f3e2d1436631dd735a908f31dbc46b0f72db9685c00b9e4ec450e419271c8",
-    ("hourly", "A", True, False): "a1a0ac72abfe4503868918e4727e80014ef8b156b04030ad7b4ed92d953c3f96",
-    ("hourly", "A", True, True): "800c709d7b690f9e8d33812354e29394946a553f8b52271db9c35580c703c764",
+    ("hourly", "A", True, False): "f1b019cc9728bc89e99d4ff5f412444f7ab34edb147e822da4966cd71cf4c7f7",
+    ("hourly", "A", True, True): "4143c490b8519a405a16f02a01911383da132f9f04f163372f9b1102203a0d37",
     ("hourly", "B", False, False): "935d79bf3e91eaf38d2d549aa3d7387753c0676db8d575fc6a5a8eff6765dcff",
     ("hourly", "B", False, True): "ef281593810c513a3567b36ec38c3acd4f668b862292616c9acdc5122cd863a5",
-    ("hourly", "B", True, False): "b832bd5d020ffde4a3fa034413c96405c99ce9535ab327afb1d8c2967a2ff3d6",
-    ("hourly", "B", True, True): "a04f2ee6bd688038249f89e156a1864c853eb6ffde5dab8c1bcb415187333c96",
+    ("hourly", "B", True, False): "1dbeb68b23b6dc1f1286085b9a1a83c8892640c3e0dfacee11655099d25a3744",
+    ("hourly", "B", True, True): "3e471335a5f0172d062fde084b7fb4ba72b52393365180e3a66c467221b0df1a",
     ("hourly", "C", False, False): "f0d5859457a6097b89c6676051df3579b563cdfcd58242c94997901a2dfa03a9",
     ("hourly", "C", False, True): "f34870a01de0fd8923ce3abd42c9fccff16a0275f30549b8e932f793c590fddd",
-    ("hourly", "C", True, False): "a891dca1e4dfcef8524acbaba286985f48e4a9c8ab1e837cb6e1771f3c7e4511",
-    ("hourly", "C", True, True): "64baf4d96538838433dd4e2043a618732e34499b942abb17c7dfe2f8293be8e4",
+    ("hourly", "C", True, False): "28513ea73baece97a2eadc6cf009a97bd2757b8782c5caefe8af0acfddc5c1f2",
+    ("hourly", "C", True, True): "5d8ccb8959f522122f0c2e70431fd5281df48a1e45504e22ab568784b0d4fb59",
     ("hourly", "D", False, False): "01d964d1294a309253fde8b9315a3def747c70c3c5760074db093776f819cd5f",
     ("hourly", "D", False, True): "042f21d7734b242b5ba863254b2bf5e759bd57b5f0c3c6dfcfa6dc456dc4c53e",
-    ("hourly", "D", True, False): "399408e4d92c81e0a2703c755541a607a7a638973f2a14dd8d56c9ba7eb2d32a",
-    ("hourly", "D", True, True): "d0dde21b04034d01a6893a7e9ccbe378517360adefc457499eeffcf369c96424",
+    ("hourly", "D", True, False): "1fa6a90e081bd931cf78d9197f9312122d14538c1c873e2d540a3c0aa48958ba",
+    ("hourly", "D", True, True): "835db57a4788752fcd29f377d4a492ffacbe2f3def4506fd2640f33e19cdf1a2",
     ("halfhour", "A", False, False): "8be3dfe09573e0fbedf545b2eedb1d7bb0ce9a8967c4ce40993d8b505cf87a79",
     ("halfhour", "A", False, True): "3cf15a1cbacf16ad21032d398b693f229da8dee30474eafb949a5ec673b4ebde",
-    ("halfhour", "A", True, False): "3e7752e04e48912eb024cc6945ed2d77edeca2cdc972fdae37ae86901b781fa1",
-    ("halfhour", "A", True, True): "c200f7df4546022a301a0a45ad54e40816982c84113769777b4cbb97cad39aad",
+    ("halfhour", "A", True, False): "e9abee86c833255af6462ccc9bdd280aa3f60b03cb02b086790ac2890e78dd91",
+    ("halfhour", "A", True, True): "d89db93263404a01e0d223090b7740d04ce372a8b4c6f6af2f43dc054e34dd64",
     ("halfhour", "B", False, False): "ec9467501976b5710d5c9a92869d25e83842e73c127a91c124ab4537a4073d4b",
     ("halfhour", "B", False, True): "678632f6675ec2377f30f279b87f9927d8b0e3d263e4284703026017213825cc",
-    ("halfhour", "B", True, False): "a5ddf283f68e3c2b125fabf34a526fe4a43badcfb91e29746c7e8aad0bd783e7",
-    ("halfhour", "B", True, True): "0ddf0468b56393dad607c0aea7e73d1de3939300c7dada0b7922087694221240",
+    ("halfhour", "B", True, False): "24bb38e8d7b20dd7cb7c137416a68dc50f9893785d98f7cdf5686daf31437827",
+    ("halfhour", "B", True, True): "edb246a516638e309410b46e44dc4c0401ba81184b093e7bdd0c197162f666ab",
     ("halfhour", "C", False, False): "4c2d36c05c1ff6dba3575c2a69cc48923c5da104d17b2588225861980a2406e5",
     ("halfhour", "C", False, True): "824ba09bad26517a50dd5cca276f01bcaab3f974126b3e333a448e5609f1ecac",
-    ("halfhour", "C", True, False): "9f35a2d185509d5a17ffb1d4ee0e7156acb81588708e01d881baf5ec83b0c701",
-    ("halfhour", "C", True, True): "86a5ec928acc12b8fffbe509221370f74ca03f77fea7b6b7914354046a3c4795",
+    ("halfhour", "C", True, False): "7f6aa4b0fe2c8c26fefc149d03d77d321efef9ec3a8fe41b7a52d792bdb2160b",
+    ("halfhour", "C", True, True): "8dea29425cb84a19734988f3d8134a86128f70746e3e2bc85766c69371b8166d",
     ("halfhour", "D", False, False): "0b6db1e91647178b4b5d1d88ff67f9a011be10bbda6d1bbabefe428b9cb3ac63",
     ("halfhour", "D", False, True): "6ee66e75cfc41994906a5aca90fcb9a04348c90ae2c404f5d726cec511240e5c",
-    ("halfhour", "D", True, False): "babfd8075e4161f970414e64a0ccd718f986e70924836535c5ec0fa08932cb51",
-    ("halfhour", "D", True, True): "df1e7e327ab344b281b89ee383713c4338f24f9bf139fde795f040760e30da2e",
-    ("no_end_reserve", "D", True, False): "423de16def93c62f64cfa577edfbe26c29d861eac04de721dab4890bfeb4c5ff",
-    ("no_end_reserve", "D", True, True): "58e970eb9ca12bae54d60f09906907ad33e19fe27ae9f14c02338bd619426e5c",
-    ("ev_not_full", "D", True, False): "a47de5cdb915158d85d05615b904b36757cf5ef75343f3c9c516b3e66ef32ff3",
-    ("ev_not_full", "D", True, True): "f5f00cfe073d7e6e3b38ed0e4d603053e54caf035f4cd22c382692377c53ab2d",
+    ("halfhour", "D", True, False): "cf9b994a507da8b3ae1c53910a2490f016067cbe13af5ee3a802a1b2642c616a",
+    ("halfhour", "D", True, True): "495db3e9e2148e87f71713b8b9291ca5b4c26c8028f0b7702b1d3dedf901df1f",
+    ("no_end_reserve", "D", True, False): "4462b1480b2f6ca682b2b51afb8a3442d4b5a9abf38e3a8be3b391b9d006b62f",
+    ("no_end_reserve", "D", True, True): "b0bc62d046a69c336b1569ecde79ce059a5c48552de48dc223976d7c271e9c6f",
+    ("ev_not_full", "D", True, False): "e9da990cc7de8cc59825524d5e2e7d8f2814af915a134adb6657af42a7fd2d8f",
+    ("ev_not_full", "D", True, True): "4c283ba0f30f213b449fc384e1a01a273cae56b444840f815170a363a82655c5",
 }
 
 

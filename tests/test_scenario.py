@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from hems.formulation import solve_scenario
 from hems.scenario import (
     ApplianceSpec,
     Device,
@@ -148,8 +149,27 @@ def test_big_m_auto_computation():
     }
     sc = parse_scenario(doc)
     assert sc.big_m == (None, None)
-    assert sc.caps[0] == pytest.approx(3.0 + 2.0)        # peak load + charge rate
+    # peak of load plus the appliance's running total ([0.5, 0.5]: it may be
+    # delayed), plus the charge rate
+    assert sc.caps[0] == pytest.approx(3.0 + 0.5 + 2.0)
     assert sc.caps[1] == pytest.approx(2.0 + 1.0 * 0.9)  # peak pv + deliverable discharge
+
+
+def test_auto_import_cap_admits_stacked_delayed_blocks():
+    # Both blocks are cheapest in the last interval, where they stack on the
+    # base load: 3 kW there, above the peak of the load as scheduled (2 kW).
+    doc = minimal_doc(T=3)
+    doc["tariff"]["buy"] = [10.0, 10.0, 1.0]
+    doc["appliances"] = [
+        {"name": "a", "adt_hours": 2.0, "profile": [1.0, 0.0, 0.0]},
+        {"name": "b", "adt_hours": 1.0, "profile": [0.0, 1.0, 0.0]},
+    ]
+    auto = solve_scenario(parse_scenario(doc))
+    doc["limits"] = {"import_cap": 100.0}
+    loose = solve_scenario(parse_scenario(doc))
+    assert loose.cost.bill == pytest.approx(10.0 + 10.0 + 3.0)
+    assert auto.cost.bill == pytest.approx(loose.cost.bill)
+    assert auto.solution.objective == pytest.approx(loose.solution.objective, abs=1e-9)
 
 
 def test_explicit_limits_override():
