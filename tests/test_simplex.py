@@ -17,6 +17,7 @@ from hems.milp import (
     solve_lp,
 )
 from hems.milp import simplex
+from hems.milp.simplex import DEFAULT_LP_ITERATION_LIMIT as NO_LIMIT
 from hems.milp.simplex import CompiledLP, solve_compiled
 
 from lp_oracle import enumerate_lp_optimum, random_boxed_lp
@@ -94,12 +95,16 @@ def test_singular_basis_is_numerical(monkeypatch):
     assert math.isnan(r.objective)
 
 
-def test_infeasible_detection():
+def _infeasible_model() -> MILPModel:
     m = MILPModel()
     x = m.add_continuous("x", 0.0, 1.0)
     m.add_constraint([(x, 1.0)], ">=", 2.0, "too_high")
     m.set_objective([(x, 1.0)])
-    assert solve_lp(m).status == INFEASIBLE
+    return m
+
+
+def test_infeasible_detection():
+    assert solve_lp(_infeasible_model()).status == INFEASIBLE
 
 
 def test_equality_row_with_negative_rhs():
@@ -123,21 +128,6 @@ def test_free_variable():
     assert r.objective == pytest.approx(-7.0, abs=1e-8)
 
 
-def test_iteration_limit_status():
-    rng = np.random.default_rng(3)
-    model = random_boxed_lp(rng)
-    r = solve_lp(model, iteration_limit=1)
-    assert r.status in (ITERATION_LIMIT, OPTIMAL, INFEASIBLE)
-    # A model needing phase 1 plus pivots cannot finish in one pivot.
-    m = MILPModel()
-    x = m.add_continuous("x", 0.0, 10.0)
-    y = m.add_continuous("y", 0.0, 10.0)
-    m.add_constraint([(x, 1.0), (y, 1.0)], ">=", 5.0, "a")
-    m.add_constraint([(x, 1.0), (y, -1.0)], "=", 1.0, "b")
-    m.set_objective([(x, 1.0), (y, 1.0)])
-    assert solve_lp(m, iteration_limit=1).status == ITERATION_LIMIT
-
-
 def _two_relaxed_rows_model() -> MILPModel:
     # Both slacks start out of range, and each must leave the basis, so
     # phase 1 takes at least two pivots.
@@ -148,6 +138,15 @@ def _two_relaxed_rows_model() -> MILPModel:
     m.add_constraint([(x, 1.0), (y, -1.0)], "=", 1.0, "b")
     m.set_objective([(x, 1.0), (y, 1.0)])
     return m
+
+
+def test_iteration_limit_status():
+    rng = np.random.default_rng(3)
+    model = random_boxed_lp(rng)
+    r = solve_lp(model, iteration_limit=1)
+    assert r.status in (ITERATION_LIMIT, OPTIMAL, INFEASIBLE)
+    # A model needing phase 1 plus pivots cannot finish in one pivot.
+    assert solve_lp(_two_relaxed_rows_model(), iteration_limit=1).status == ITERATION_LIMIT
 
 
 def _feasible_start_model() -> MILPModel:
@@ -162,24 +161,16 @@ def _feasible_start_model() -> MILPModel:
     return m
 
 
-def _infeasible_model() -> MILPModel:
-    m = MILPModel()
-    x = m.add_continuous("x", 0.0, 1.0)
-    m.add_constraint([(x, 1.0)], ">=", 2.0, "too_high")
-    m.set_objective([(x, 1.0)])
-    return m
-
-
 @pytest.mark.parametrize(
     "build, limit, singular, status",
     [
         (_two_relaxed_rows_model, 1, False, ITERATION_LIMIT),
         (_feasible_start_model, 1, False, ITERATION_LIMIT),
-        (_two_relaxed_rows_model, None, True, NUMERICAL),
-        (_feasible_start_model, None, True, NUMERICAL),
-        (_infeasible_model, None, False, INFEASIBLE),
-        (_unbounded_model, None, False, UNBOUNDED),
-        (_feasible_start_model, None, False, OPTIMAL),
+        (_two_relaxed_rows_model, NO_LIMIT, True, NUMERICAL),
+        (_feasible_start_model, NO_LIMIT, True, NUMERICAL),
+        (_infeasible_model, NO_LIMIT, False, INFEASIBLE),
+        (_unbounded_model, NO_LIMIT, False, UNBOUNDED),
+        (_feasible_start_model, NO_LIMIT, False, OPTIMAL),
     ],
     ids=["phase1-iteration-limit", "phase2-iteration-limit", "phase1-singular",
          "phase2-singular", "infeasible", "unbounded", "optimal"],
@@ -196,7 +187,7 @@ def test_every_exit_of_solve_compiled(monkeypatch, build, limit, singular, statu
         monkeypatch.setattr(np.linalg, "inv", fail)
     core = CompiledLP(model)
     lo, hi = model.bounds_arrays()
-    r = solve_compiled(core, lo, hi, *(() if limit is None else (limit,)))
+    r = solve_compiled(core, lo, hi, limit)
     assert r.status == status
     assert r.x.shape == (model.num_variables,)
     if status == OPTIMAL:
@@ -206,7 +197,7 @@ def test_every_exit_of_solve_compiled(monkeypatch, build, limit, singular, statu
         assert r.objective == -math.inf
     else:
         assert math.isnan(r.objective)
-    if limit is not None:
+    if status == ITERATION_LIMIT:
         assert r.iterations == limit
     if singular:
         assert r.iterations == 1
