@@ -171,44 +171,6 @@ class MILPModel:
             c[vid] = coef
         return c
 
-    # -- feasibility checking ----------------------------------------------
-
-    def row_violations(self, values: np.ndarray) -> np.ndarray:
-        """Per-constraint violation, normalized by (1 + |rhs|)."""
-        out = np.zeros(len(self.constraints))
-        for i, con in enumerate(self.constraints):
-            act = sum(coef * values[vid] for vid, coef in con.terms)
-            if con.sense == "<=":
-                viol = act - con.rhs
-            elif con.sense == ">=":
-                viol = con.rhs - act
-            else:
-                viol = abs(act - con.rhs)
-            out[i] = max(0.0, viol) / (1.0 + abs(con.rhs))
-        return out
-
-    def bound_violations(self, values: np.ndarray) -> np.ndarray:
-        """Per-variable bound violation, normalized by (1 + |bound|)."""
-        out = np.zeros(len(self.variables))
-        for v in self.variables:
-            x = values[v.id]
-            viol = 0.0
-            if math.isfinite(v.lower):
-                viol = max(viol, (v.lower - x) / (1.0 + abs(v.lower)))
-            if math.isfinite(v.upper):
-                viol = max(viol, (x - v.upper) / (1.0 + abs(v.upper)))
-            out[v.id] = max(0.0, viol)
-        return out
-
-    def max_violation(self, values: np.ndarray) -> float:
-        """Worst normalized constraint-or-bound violation of an assignment."""
-        worst = 0.0
-        if self.constraints:
-            worst = float(self.row_violations(values).max())
-        if self.variables:
-            worst = max(worst, float(self.bound_violations(values).max()))
-        return worst
-
     # -- LP text dump --------------------------------------------------------
 
     def _safe_names(self) -> list[str]:

@@ -22,21 +22,22 @@ end of phase 1 every variable gets its true range back.
 
 The basis inverse B⁻¹ is a dense m×m array, but each pivot only touches the
 part of it that the entering column w = B⁻¹a_q needs, and w is very sparse on
-the home energy models (a median of 1–4 nonzeros in 144–305 rows). FTRAN
-multiplies only the columns of B⁻¹ that a_q touches; the ratio test and the
-basic-value update run over the nonzeros of w; the product-form update
-rewrites only the entries of B⁻¹ in a nonzero row of w and a nonzero column
-of the pivot row; and the reduced costs are updated from the old pivot row
-ρ = e_rᵀB⁻¹ as d -= θ·(Aᵀρ, ρ) with θ = d_q / w_r. A pivot so costs at
-most O(m·nnz(w) + nnz(A)) rather than O(m² + m·n). Reduced costs are
-recomputed from scratch at phase start, at every refresh and
-refactorization, and before optimality is declared. A refactorization
-inverts only the block of B that its structural columns span.
+the home energy models (a median of 1–10 nonzeros in the 48–194 rows of the
+half-hour reference LPs without DSM). FTRAN multiplies only the columns of
+B⁻¹ that a_q touches; the ratio test and the basic-value update run over the
+nonzeros of w; the product-form update rewrites only the entries of B⁻¹ in a
+nonzero row of w and a nonzero column of the pivot row; and the reduced
+costs are updated from the old pivot row ρ = e_rᵀB⁻¹ as d -= θ·(Aᵀρ, ρ)
+with θ = d_q / w_r. A pivot so costs at most O(m·nnz(w) + nnz(A)) rather
+than O(m² + m·n). Reduced costs are recomputed from scratch at phase start,
+at every refresh and refactorization, and before optimality is declared. A
+refactorization scatters the whole basis matrix B (CSC columns and unit
+slack columns) into a dense array and inverts it.
 
-Measured on a 2-vCPU x86 host, the half-hour reference solves (144–305
-rows) take about 55–115 µs per pivot. When B⁻¹ fills in, as on random
-sparse LPs, the indexed update costs more per touched entry than a BLAS
-rank-1 update does.
+Measured on a 2-vCPU x86 host, the half-hour reference solves without DSM
+(A/B 48 rows, C 145, D 194) take about 40–60 µs per pivot. When B⁻¹ fills
+in, as on random sparse LPs, the indexed update costs more per touched entry
+than a BLAS rank-1 update does.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def solve_compiled(
     phase2_cost = np.zeros(ntot)
     phase2_cost[:n] = core.cost
 
-    Binv = np.eye(m)
+    Binv = np.eye(m)  # the all-slack start basis is I: nothing to invert
     iters = 0
     pivots_since_refactor = 0
     feas_eps = FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
@@ -225,29 +226,20 @@ def solve_compiled(
         x[basis] = Binv @ rhs_eff
 
     def refactor() -> None:
-        # With the rows permuted so that the unit (slack) basic columns come
-        # last, B is block lower triangular:
-        #   B = [S_L  0]   =>   B⁻¹ = [S_L⁻¹           0]
-        #       [S_U  I]                [-S_U S_L⁻¹     I]
-        # where S holds the k structural basic columns, U the rows their unit
-        # columns cover and L the other k rows. Only the k×k block S_L is
-        # inverted.
+        # B in one scatter: the CSC nonzeros of the structural basic columns
+        # and a unit entry for each basic slack.
         nonlocal Binv, pivots_since_refactor
         pos_s = np.flatnonzero(basis < n)
         pos_u = np.flatnonzero(basis >= n)
-        rows_u = basis[pos_u] - n
-        covered = np.zeros(m, dtype=bool)
-        covered[rows_u] = True
-        rows_l = np.flatnonzero(~covered)
-        S = np.zeros((m, pos_s.size))
-        for c, j in enumerate(basis[pos_s]):
-            rows, vals = core.column(int(j))
-            S[rows, c] = vals
-        S_L_inv = np.linalg.inv(S[rows_l])
-        Binv = np.zeros((m, m))
-        Binv[np.ix_(pos_s, rows_l)] = S_L_inv
-        Binv[np.ix_(pos_u, rows_l)] = -(S[rows_u] @ S_L_inv)
-        Binv[pos_u, rows_u] = 1.0
+        cols = basis[pos_s]
+        starts = core.col_ptr[cols]
+        counts = core.col_ptr[cols + 1] - starts
+        # Offsets of every nonzero of those columns in the CSC arrays.
+        at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        B = np.zeros((m, m))
+        B[core.row_idx[at], np.repeat(pos_s, counts)] = core.vals[at]
+        B[basis[pos_u] - n, pos_u] = 1.0
+        Binv = np.linalg.inv(B)
         pivots_since_refactor = 0
         refresh_basics()
 
@@ -335,9 +327,9 @@ def solve_compiled(
             hit_upper = False
             if nz.size:
                 piv = np.abs(delta)
-                ts = (x[bnz] - np.where(delta > 0, lo[bnz], hi[bnz])) / delta
+                ts = np.divide(x[bnz] - np.where(delta > 0, lo[bnz], hi[bnz]), delta,
+                               out=np.full(nz.size, np.inf), where=piv > PIVOT_TOL)
                 np.maximum(ts, 0.0, out=ts)
-                ts[piv <= PIVOT_TOL] = np.inf
                 tmin = ts.min()
                 if tmin < np.inf:
                     tie = ts - tmin <= 1e-12 * (1.0 + tmin)

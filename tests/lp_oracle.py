@@ -12,6 +12,9 @@ branch-and-bound.
 
 `schedule_to_values`: a schedule mapped onto the variables of the paper's
 full model, whose rows then judge it independently of the audit.
+
+`max_violation`: the worst normalized row or bound violation of an
+assignment, computed term by term from the model's rows.
 """
 
 from __future__ import annotations
@@ -181,6 +184,45 @@ def schedule_to_values(
             for d, vid in choices:
                 values[vid] = 1.0 if d == dst else 0.0
     return values
+
+
+def row_violations(model: MILPModel, values: np.ndarray) -> np.ndarray:
+    """Per-constraint violation, normalized by (1 + |rhs|)."""
+    out = np.zeros(model.num_constraints)
+    for i, con in enumerate(model.constraints):
+        act = sum(coef * values[vid] for vid, coef in con.terms)
+        if con.sense == "<=":
+            viol = act - con.rhs
+        elif con.sense == ">=":
+            viol = con.rhs - act
+        else:
+            viol = abs(act - con.rhs)
+        out[i] = max(0.0, viol) / (1.0 + abs(con.rhs))
+    return out
+
+
+def bound_violations(model: MILPModel, values: np.ndarray) -> np.ndarray:
+    """Per-variable bound violation, normalized by (1 + |bound|)."""
+    out = np.zeros(model.num_variables)
+    for v in model.variables:
+        x = values[v.id]
+        viol = 0.0
+        if math.isfinite(v.lower):
+            viol = max(viol, (v.lower - x) / (1.0 + abs(v.lower)))
+        if math.isfinite(v.upper):
+            viol = max(viol, (x - v.upper) / (1.0 + abs(v.upper)))
+        out[v.id] = max(0.0, viol)
+    return out
+
+
+def max_violation(model: MILPModel, values: np.ndarray) -> float:
+    """Worst normalized constraint-or-bound violation of an assignment."""
+    worst = 0.0
+    if model.constraints:
+        worst = float(row_violations(model, values).max())
+    if model.variables:
+        worst = max(worst, float(bound_violations(model, values).max()))
+    return worst
 
 
 def random_boxed_lp(rng: np.random.Generator, max_vars: int = 7, max_rows: int = 5) -> MILPModel:

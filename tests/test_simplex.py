@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hems.formulation import build_model
 from hems.milp import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -19,8 +21,9 @@ from hems.milp import (
 from hems.milp import simplex
 from hems.milp.simplex import DEFAULT_LP_ITERATION_LIMIT as NO_LIMIT
 from hems.milp.simplex import CompiledLP, solve_compiled
+from hems.scenario import synth_case
 
-from lp_oracle import enumerate_lp_optimum, random_boxed_lp
+from lp_oracle import enumerate_lp_optimum, max_violation, random_boxed_lp
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
@@ -217,6 +220,22 @@ def test_degenerate_cycling_guard():
     assert r.objective == pytest.approx(-0.05, abs=1e-6)
 
 
+def test_pivot_below_tolerance_is_not_divided():
+    # Row "tiny" gives w an entry of 1e-310 on x, far below PIVOT_TOL; dividing
+    # the ratio test by it would overflow.
+    m = MILPModel()
+    x = m.add_continuous("x", 0.0, 10.0)
+    y = m.add_continuous("y", 0.0, 10.0)
+    m.add_constraint([(x, 1.0), (y, 1.0)], "<=", 8.0, "cap")
+    m.add_constraint([(x, 1e-310), (y, 1.0)], "<=", 5.0, "tiny")
+    m.set_objective([(x, -1.0), (y, -1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = solve_lp(m)
+    assert r.status == OPTIMAL
+    assert r.objective == -8.0
+
+
 def test_random_lp_matches_vertex_enumeration_oracle():
     rng = np.random.default_rng(42)
     n_optimal = 0
@@ -228,7 +247,7 @@ def test_random_lp_matches_vertex_enumeration_oracle():
             n_optimal += 1
             assert r.status == OPTIMAL
             assert r.objective == pytest.approx(objective, abs=1e-6 * (1 + abs(objective)))
-            assert model.max_violation(r.values) <= 1e-6
+            assert max_violation(model, r.values) <= 1e-6
         else:
             assert r.status == INFEASIBLE
     assert n_optimal >= 40  # the generator must exercise the optimal path
@@ -358,7 +377,7 @@ def test_mid_size_sparse_lps_match_highs():
         assert ours.lp_iterations > 300, (m, kind, ours.lp_iterations)
         if kind == OPTIMAL:
             assert ours.objective == pytest.approx(ref.fun, abs=1e-6 * (1 + abs(ref.fun)))
-            assert model.max_violation(ours.values) <= 1e-6
+            assert max_violation(model, ours.values) <= 1e-6
 
 
 def test_import_does_not_load_scipy():
@@ -372,3 +391,20 @@ def test_import_does_not_load_scipy():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("reference", ["hourly_reference", "halfhour_reference"])
+@pytest.mark.parametrize("case", "CD")
+def test_blands_rule_reaches_the_same_optimum(monkeypatch, request, reference, case):
+    """Bland's rule from the first degenerate pivot on: the reference LPs
+    (DSM off, no binary) take another pivot path to the same optimum."""
+    model, _ = build_model(synth_case(case, False, request.getfixturevalue(reference)))
+    assert model.binary_ids() == []
+    default = solve_lp(model)
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 1)
+    bland = solve_lp(model)
+    ref = _highs(model)
+    assert default.status == bland.status == OPTIMAL
+    assert bland.lp_iterations != default.lp_iterations
+    assert bland.objective == pytest.approx(default.objective, rel=1e-12)
+    assert bland.objective == pytest.approx(ref.fun, abs=1e-6 * (1 + abs(ref.fun)))

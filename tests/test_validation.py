@@ -9,7 +9,7 @@ from hems.milp import solve_milp
 from hems.scenario import ApplianceSpec, StorageSpec, synth_case
 from hems.validation import audit, diagnose_infeasibility
 
-from lp_oracle import OracleSizeError, brute_force_optimum, schedule_to_values
+from lp_oracle import OracleSizeError, brute_force_optimum, max_violation, schedule_to_values
 from scenario_gen import random_small_scenario
 from test_formulation import make_scenario, small_ess
 
@@ -126,7 +126,7 @@ def test_audit_vs_model_residuals_agree():
                 t = int(rng.integers(vars_.window[0], vars_.window[1] + 1))
             getattr(obj, field)[t] += float(rng.choice([-0.2, 0.2]))
         values = schedule_to_values(sc, model, varmap, schedule)
-        model_ok = model.max_violation(values) <= 1e-6
+        model_ok = max_violation(model, values) <= 1e-6
         audit_ok = audit(sc, schedule).passed
         assert model_ok == audit_ok
         failures_seen += not audit_ok
