@@ -209,7 +209,8 @@ def validate(scenario_file, schedule_csv, report_path):
         status = "pass" if fam.passed else "FAIL"
         where = ""
         if not fam.passed:
-            where = f" at interval {fam.worst_interval}"
+            if fam.worst_interval is not None:
+                where = f" at interval {fam.worst_interval}"
             if fam.worst_appliance:
                 where += f" ({fam.worst_appliance})"
         click.echo(

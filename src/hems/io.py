@@ -139,11 +139,14 @@ def schedule_from_csv(path, scenario: Scenario) -> Schedule:
             shifts[a, t] = dst
 
     # One row per quantity: the household's five, then the ESS's, then the EV's.
+    # A device's rows are kept when the scenario has it or any of them is
+    # nonzero, so the audit sees a device that the scenario lacks.
     table = np.array(numbers).reshape(T, len(quantities)).T
+    ess, ev = table[5:10], table[10:]
     return Schedule(
         *table[:5],
-        ess=DeviceSchedule(*table[5:10]) if scenario.ess is not None else None,
-        ev=DeviceSchedule(*table[10:]) if scenario.ev is not None else None,
+        ess=DeviceSchedule(*ess) if scenario.ess is not None or ess.any() else None,
+        ev=DeviceSchedule(*ev) if scenario.ev is not None or ev.any() else None,
         shifts=shifts,
     )
 

@@ -14,7 +14,7 @@ from .model import (
     ModelError,
     Variable,
 )
-from .simplex import DEFAULT_LP_ITERATION_LIMIT, solve_lp
+from .simplex import solve_lp
 
 __all__ = [
     "MILPModel",
@@ -30,5 +30,4 @@ __all__ = [
     "UNBOUNDED",
     "ITERATION_LIMIT",
     "NUMERICAL",
-    "DEFAULT_LP_ITERATION_LIMIT",
 ]

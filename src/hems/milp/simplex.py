@@ -6,9 +6,10 @@ the basis matrix. Rows are equilibrated to unit max-|coefficient| before
 solving. Anti-cycling: Bland's rule is engaged after a run of degenerate
 pivots and released on the next improving step.
 
-Columns are [structural | slacks]. The structural block is kept in
-compressed sparse column (CSC) form; the slack block is an identity matrix
-and is never materialized.
+Columns are [structural | slacks], and the whole matrix [A | I] is stored
+in compressed sparse column (CSC) form: the slack (logical) columns are the
+m unit columns that follow the n structural ones, so every column is read,
+priced and scattered the same way.
 
 Phase 1 needs no artificial columns. The start puts structural variables at
 their nearest finite bound and makes every slack basic, carrying the row
@@ -27,12 +28,12 @@ half-hour reference LPs without DSM). FTRAN multiplies only the columns of
 B⁻¹ that a_q touches; the ratio test and the basic-value update run over the
 nonzeros of w; the product-form update rewrites only the entries of B⁻¹ in a
 nonzero row of w and a nonzero column of the pivot row; and the reduced
-costs are updated from the old pivot row ρ = e_rᵀB⁻¹ as d -= θ·(Aᵀρ, ρ)
+costs are updated from the old pivot row ρ = e_rᵀB⁻¹ as d -= θ·[A | I]ᵀρ
 with θ = d_q / w_r. A pivot so costs at most O(m·nnz(w) + nnz(A)) rather
 than O(m² + m·n). Reduced costs are recomputed from scratch at phase start,
 at every refresh and refactorization, and before optimality is declared. A
-refactorization scatters the whole basis matrix B (CSC columns and unit
-slack columns) into a dense array and inverts it.
+refactorization scatters the CSC columns of the whole basis matrix B into a
+dense array and inverts it.
 
 Measured on a 2-vCPU x86 host, the half-hour reference solves without DSM
 (A/B 48 rows, C 145, D 194) take about 40–60 µs per pivot. When B⁻¹ fills
@@ -70,18 +71,18 @@ _AT_LOWER = 1
 _AT_UPPER = 2
 _AT_ZERO_FREE = 3
 
-_UNIT = np.ones(1)
 # Improving sign of the reduced cost per rest state: at-lower gains from d < 0,
 # at-upper from d > 0; basic variables never enter, free ones are scored apart.
 _STATE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
 
-DEFAULT_LP_ITERATION_LIMIT = 50_000
+LP_ITERATION_LIMIT = 50_000  # pivots per LP before status iteration_limit
 
 
 class CompiledLP:
-    """Row-scaled standard form of a model: A x = b with box bounds.
+    """Row-scaled standard form of a model: [A | I] (x, s) = b with box bounds.
 
-    A is held in CSC form: the nonzeros of column j are
+    [A | I] is held in CSC form: the nonzeros of column j (structural for
+    j < n, the slack of row j − n otherwise) are
     `row_idx[col_ptr[j]:col_ptr[j + 1]]` / `vals[...]`, and `col_of` gives
     the column of every nonzero. Slack bounds encode the row sense.
     """
@@ -120,12 +121,13 @@ class CompiledLP:
         val /= scale[row]
         b /= scale
         order = np.lexsort((row, col))
+        slacks = np.arange(m)
         self.n = n
         self.m = m
-        self.row_idx = row[order]
-        self.col_of = col[order]
-        self.vals = val[order]
-        self.col_ptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
+        self.row_idx = np.concatenate((row[order], slacks))
+        self.col_of = np.concatenate((col[order], n + slacks))
+        self.vals = np.concatenate((val[order], np.ones(m)))
+        self.col_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.col_of, minlength=n + m))))
         self.b = b
         self.slack_lower = slack_lo
         self.slack_upper = slack_hi
@@ -133,18 +135,20 @@ class CompiledLP:
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Row indices and values of the nonzeros of column j of [A | I]."""
-        if j < self.n:
-            lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
-            return self.row_idx[lo:hi], self.vals[lo:hi]
-        return np.array([j - self.n]), _UNIT
+        lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
+        return self.row_idx[lo:hi], self.vals[lo:hi]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a structural vector x."""
-        return np.bincount(self.row_idx, weights=self.vals * x[self.col_of], minlength=self.m)
+        """The product of the first x.size columns of [A | I] with x: A @ x
+        for n structural values, A @ x + s for all n + m."""
+        k = self.col_ptr[x.size]
+        return np.bincount(self.row_idx[:k], weights=self.vals[:k] * x[self.col_of[:k]],
+                           minlength=self.m)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """A.T @ y for a row vector y."""
-        return np.bincount(self.col_of, weights=self.vals * y[self.row_idx], minlength=self.n)
+        """[A | I].T @ y for a row vector y: (A.T @ y, y)."""
+        return np.bincount(self.col_of, weights=self.vals * y[self.row_idx],
+                           minlength=self.n + self.m)
 
     def rows_feasible(self, x_struct: np.ndarray) -> bool:
         """Whether a structural point satisfies every row within FEAS_TOL
@@ -165,13 +169,9 @@ class SimplexResult:
     iterations: int
 
 
-def solve_compiled(
-    core: CompiledLP,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    iteration_limit: int = DEFAULT_LP_ITERATION_LIMIT,
-) -> SimplexResult:
-    """Solve the LP over the compiled rows with the given structural bounds.
+def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> SimplexResult:
+    """Solve the LP over the compiled rows with the given structural bounds,
+    in at most LP_ITERATION_LIMIT pivots.
 
     Status "numerical" means the arithmetic broke an invariant the method
     relies on: a phase-1 objective that decreases without bound, or a basis
@@ -222,29 +222,24 @@ def solve_compiled(
     def refresh_basics() -> None:
         xn = x.copy()
         xn[basis] = 0.0
-        rhs_eff = b - core.matvec(xn[:n]) - xn[n:]
-        x[basis] = Binv @ rhs_eff
+        x[basis] = Binv @ (b - core.matvec(xn))
 
     def refactor() -> None:
-        # B in one scatter: the CSC nonzeros of the structural basic columns
-        # and a unit entry for each basic slack.
+        # B in one scatter: the CSC nonzeros of every basic column, slacks
+        # included.
         nonlocal Binv, pivots_since_refactor
-        pos_s = np.flatnonzero(basis < n)
-        pos_u = np.flatnonzero(basis >= n)
-        cols = basis[pos_s]
-        starts = core.col_ptr[cols]
-        counts = core.col_ptr[cols + 1] - starts
+        starts = core.col_ptr[basis]
+        counts = core.col_ptr[basis + 1] - starts
         # Offsets of every nonzero of those columns in the CSC arrays.
         at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
         B = np.zeros((m, m))
-        B[core.row_idx[at], np.repeat(pos_s, counts)] = core.vals[at]
-        B[basis[pos_u] - n, pos_u] = 1.0
+        B[core.row_idx[at], np.repeat(np.arange(m), counts)] = core.vals[at]
         Binv = np.linalg.inv(B)
         pivots_since_refactor = 0
         refresh_basics()
 
     def residual_ok() -> bool:
-        resid = np.abs(b - core.matvec(x[:n]) - x[n:])
+        resid = np.abs(b - core.matvec(x))
         return bool(np.all(resid <= FEAS_TOL * (1.0 + np.abs(b))))
 
     def run_phase(cost: np.ndarray, phase: int) -> str:
@@ -264,9 +259,7 @@ def solve_compiled(
 
         def reprice() -> None:
             nonlocal fresh
-            y = Binv.T @ cost[basis]
-            d[:n] = cost[:n] - core.rmatvec(y)
-            d[n:] = cost[n:] - y
+            d[:] = cost - core.rmatvec(Binv.T @ cost[basis])
             fresh = True
 
         def entering() -> int:
@@ -280,7 +273,7 @@ def solve_compiled(
 
         reprice()
         while True:
-            if iters >= iteration_limit:
+            if iters >= LP_ITERATION_LIMIT:
                 return ITERATION_LIMIT
             if iters and iters % REFACTOR_EVERY == 0:
                 refactor()
@@ -363,19 +356,17 @@ def solve_compiled(
             else:
                 t = t_best
                 leave = int(basis[r_best])
-                start = lo[q] if sq == _AT_LOWER else (hi[q] if sq == _AT_UPPER else 0.0)
                 x[bnz] -= t * delta
-                x[q] = start + sigma * t
+                x[q] += sigma * t
                 x[leave] = hi[leave] if hit_upper else lo[leave]
                 state[q] = _BASIC
                 basis[r_best] = q
                 # New pivot row br = ρ / w_r. The reduced costs move by
-                # d_q·(Aᵀbr, br); row i of B⁻¹ by w_i·br, so only the entries
-                # in a nonzero row of w and a nonzero column of br change.
+                # d_q·[A | I]ᵀbr, whose slack part is d_q·br; row i of B⁻¹
+                # by w_i·br, so only the entries in a nonzero row of w and a
+                # nonzero column of br change.
                 br = Binv[r_best] / w[r_best]
-                g = d[q] * br
-                d[:n] -= core.rmatvec(g)
-                d[n:] -= g
+                d -= core.rmatvec(d[q] * br)
                 d[q] = 0.0
                 fresh = False
                 cols = br.nonzero()[0]
@@ -429,14 +420,11 @@ def solve_compiled(
     return SimplexResult(status, xs, objective, iters)
 
 
-def solve_lp(
-    model: MILPModel,
-    iteration_limit: int = DEFAULT_LP_ITERATION_LIMIT,
-) -> MILPSolution:
+def solve_lp(model: MILPModel) -> MILPSolution:
     """Solve the LP relaxation of a model (integrality ignored)."""
     core = CompiledLP(model)
     lo, hi = model.bounds_arrays()
-    res = solve_compiled(core, lo, hi, iteration_limit)
+    res = solve_compiled(core, lo, hi)
     return MILPSolution(
         status=res.status,
         values=res.x,

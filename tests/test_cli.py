@@ -374,6 +374,28 @@ def test_validate_flags_tampered_soe(runner, tmp_path):
     assert "FAIL" in result.output
 
 
+def test_validate_flags_a_device_the_scenario_lacks(runner, tmp_path, hourly_sweep):
+    # Case C has no EV; a schedule that charges one must not pass.
+    scenario, result = hourly_sweep[("C", False)]
+    scenario_path = tmp_path / "case_c.yaml"
+    save_scenario(scenario, scenario_path)
+    csv_path = tmp_path / "schedule.csv"
+    schedule_to_csv(result.schedule, scenario, csv_path)
+    lines = csv_path.read_text().splitlines()
+    header = lines[1].split(",")
+    charge, soe = header.index("ev_charge_kw"), header.index("ev_soe_kwh")
+    for k in range(2, len(lines)):
+        row = lines[k].split(",")
+        row[charge], row[soe] = "5", "99"
+        lines[k] = ",".join(row)
+    csv_path.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["validate", str(scenario_path), str(csv_path)])
+    assert result.exit_code == 1, result.output
+    ev_line = next(l for l in result.output.splitlines() if l.startswith("ev "))
+    assert "FAIL" in ev_line
+    assert "interval" not in ev_line
+
+
 def test_validate_rejects_undecodable_schedule_csv(runner, tmp_path, hourly_sweep):
     scenario, result = hourly_sweep[("A", True)]
     scenario_path = tmp_path / "case_a.yaml"

@@ -19,7 +19,6 @@ from hems.milp import (
     solve_lp,
 )
 from hems.milp import simplex
-from hems.milp.simplex import DEFAULT_LP_ITERATION_LIMIT as NO_LIMIT
 from hems.milp.simplex import CompiledLP, solve_compiled
 from hems.scenario import synth_case
 
@@ -143,13 +142,14 @@ def _two_relaxed_rows_model() -> MILPModel:
     return m
 
 
-def test_iteration_limit_status():
+def test_iteration_limit_status(monkeypatch):
+    monkeypatch.setattr(simplex, "LP_ITERATION_LIMIT", 1)
     rng = np.random.default_rng(3)
     model = random_boxed_lp(rng)
-    r = solve_lp(model, iteration_limit=1)
+    r = solve_lp(model)
     assert r.status in (ITERATION_LIMIT, OPTIMAL, INFEASIBLE)
     # A model needing phase 1 plus pivots cannot finish in one pivot.
-    assert solve_lp(_two_relaxed_rows_model(), iteration_limit=1).status == ITERATION_LIMIT
+    assert solve_lp(_two_relaxed_rows_model()).status == ITERATION_LIMIT
 
 
 def _feasible_start_model() -> MILPModel:
@@ -169,17 +169,19 @@ def _feasible_start_model() -> MILPModel:
     [
         (_two_relaxed_rows_model, 1, False, ITERATION_LIMIT),
         (_feasible_start_model, 1, False, ITERATION_LIMIT),
-        (_two_relaxed_rows_model, NO_LIMIT, True, NUMERICAL),
-        (_feasible_start_model, NO_LIMIT, True, NUMERICAL),
-        (_infeasible_model, NO_LIMIT, False, INFEASIBLE),
-        (_unbounded_model, NO_LIMIT, False, UNBOUNDED),
-        (_feasible_start_model, NO_LIMIT, False, OPTIMAL),
+        (_two_relaxed_rows_model, None, True, NUMERICAL),
+        (_feasible_start_model, None, True, NUMERICAL),
+        (_infeasible_model, None, False, INFEASIBLE),
+        (_unbounded_model, None, False, UNBOUNDED),
+        (_feasible_start_model, None, False, OPTIMAL),
     ],
     ids=["phase1-iteration-limit", "phase2-iteration-limit", "phase1-singular",
          "phase2-singular", "infeasible", "unbounded", "optimal"],
 )
 def test_every_exit_of_solve_compiled(monkeypatch, build, limit, singular, status):
     model = build()
+    if limit is not None:
+        monkeypatch.setattr(simplex, "LP_ITERATION_LIMIT", limit)
     if singular:
         # Refactorize after every pivot, and fail every refactorization:
         # the second pivot of either phase then meets a singular basis.
@@ -190,7 +192,7 @@ def test_every_exit_of_solve_compiled(monkeypatch, build, limit, singular, statu
         monkeypatch.setattr(np.linalg, "inv", fail)
     core = CompiledLP(model)
     lo, hi = model.bounds_arrays()
-    r = solve_compiled(core, lo, hi, limit)
+    r = solve_compiled(core, lo, hi)
     assert r.status == status
     assert r.x.shape == (model.num_variables,)
     if status == OPTIMAL:
@@ -408,3 +410,40 @@ def test_blands_rule_reaches_the_same_optimum(monkeypatch, request, reference, c
     assert bland.lp_iterations != default.lp_iterations
     assert bland.objective == pytest.approx(default.objective, rel=1e-12)
     assert bland.objective == pytest.approx(ref.fun, abs=1e-6 * (1 + abs(ref.fun)))
+
+
+def test_compiled_lp_stores_a_then_the_unit_slack_columns(halfhour_reference):
+    """[A | I] is one CSC: the structural columns, row-scaled to unit max
+    |coefficient|, then one unit column per row, read and priced alike."""
+    model, _ = build_model(synth_case("D", False, halfhour_reference))
+    core = CompiledLP(model)
+    n, m = core.n, core.m
+    A = np.zeros((m, n))
+    for i, con in enumerate(model.constraints):
+        for vid, coef in con.terms:
+            A[i, vid] += coef
+    scale = np.abs(A).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    expected = np.hstack((A / scale[:, None], np.eye(m)))
+
+    assert core.col_ptr.size == n + m + 1
+    stored = np.zeros((m, n + m))
+    for j in range(n + m):
+        lo, hi = core.col_ptr[j], core.col_ptr[j + 1]
+        stored[core.row_idx[lo:hi], j] = core.vals[lo:hi]
+        assert np.all(core.col_of[lo:hi] == j)
+    assert np.array_equal(stored, expected)
+
+    for i in (0, m // 2, m - 1):
+        rows, vals = core.column(n + i)
+        assert rows.tolist() == [i] and vals.tolist() == [1.0]
+        # One nonzero per sum: row i of [A | I] comes back exactly.
+        assert np.array_equal(core.rmatvec(np.eye(m)[i]), expected[i])
+    y = np.random.default_rng(7).standard_normal(m)
+    d = core.rmatvec(y)
+    assert d.shape == (n + m,)
+    assert np.array_equal(d[n:], y)
+    assert np.allclose(d[:n], expected[:, :n].T @ y, rtol=0.0, atol=1e-12)
+    x = np.random.default_rng(8).standard_normal(n + m)
+    assert np.allclose(core.matvec(x[:n]), expected[:, :n] @ x[:n], rtol=0.0, atol=1e-12)
+    assert np.allclose(core.matvec(x), expected @ x, rtol=0.0, atol=1e-12)

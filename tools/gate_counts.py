@@ -4,10 +4,19 @@ Run from the repository root:
 
     python tools/gate_counts.py > counts.txt
 
-The gate set is the 16 reference runs (both reference files, cases A-D, DSM
-off and on) and 80 DSM-on households: the perfbench `HouseholdStream` at seed
-3, hourly members 4-63 and half-hour members 4-23, solved with a 3 000-node
-limit. Each line holds the set, the run, the status, the B&B nodes, the LP
+The gate set is three sets of runs:
+
+- `ref`: the 16 reference runs (both reference files, cases A-D, DSM off and
+  on);
+- `households`: 80 DSM-on households, the perfbench `HouseholdStream` at
+  seed 3, hourly members 4-63 and half-hour members 4-23, solved with a
+  3 000-node limit;
+- `fallback`: the mode-binary fallback cases of `tests/test_mode_binaries.py`
+  on the hourly reference, cases C and D, DSM off and on, for each of three
+  variants: `sell[12] = buy[12]` (`tied`), a lossless ESS (`lossless`) and
+  the export cap at peak PV (`exportcap`).
+
+Each line holds the set, the run, the status, the B&B nodes, the LP
 iterations and `objective.hex()`; the last line holds the totals. Comparing
 two commits is a `diff` of their outputs.
 """
@@ -15,6 +24,7 @@ two commits is a `diff` of their outputs.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +52,18 @@ def runs():
         for index in MEMBERS[name]:
             h = stream.member(index)
             yield "households", f"{name}-{h.hid}", synth_case(h.case, True, h.base), options
+    base = load_scenario(ROOT / "scenarios" / FILES["hourly"])
+    sell = base.tariff.sell.copy()
+    sell[12] = base.tariff.buy[12]
+    variants = {
+        "tied": replace(base, tariff=replace(base.tariff, sell=sell)),
+        "lossless": replace(base, ess=replace(base.ess, charge_eff=1.0, discharge_eff=1.0)),
+        "exportcap": replace(base, big_m=(None, max(base.pv_gen))),
+    }
+    for variant, sc in variants.items():
+        for case in "CD":
+            for dsm in (False, True):
+                yield "fallback", f"{variant}-{case}-dsm{'on' if dsm else 'off'}", synth_case(case, dsm, sc), None
 
 
 def main() -> int:
