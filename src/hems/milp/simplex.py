@@ -6,6 +6,13 @@ the basis matrix. Rows are equilibrated to unit max-|coefficient| before
 solving. Anti-cycling: Bland's rule is engaged after a run of degenerate
 pivots and released on the next improving step.
 
+One float array, `side`, holds the rest side of every column: −1 at its
+lower bound, +1 at its upper bound, 0 when it is basic, fixed or free (a
+nonbasic free column rests at zero and is also listed in `free`). Pricing
+scores d·side, and |d| for a free column; a bound flip negates the side. A
+nonbasic column always holds its true range, so phase 2 starts from the
+sides phase 1 left.
+
 Columns are [structural | slacks], and the whole matrix [A | I] is stored
 in compressed sparse column (CSC) form: the slack (logical) columns are the
 m unit columns that follow the n structural ones, so every column is read,
@@ -31,7 +38,7 @@ nonzero row of w and a nonzero column of the pivot row; and the reduced
 costs are updated from the old pivot row ρ = e_rᵀB⁻¹ as d -= θ·[A | I]ᵀρ
 with θ = d_q / w_r. A pivot so costs at most O(m·nnz(w) + nnz(A)) rather
 than O(m² + m·n). Reduced costs are recomputed from scratch at phase start,
-at every refresh and refactorization, and before optimality is declared. A
+at every refresh and refactorization, and before every optimality claim. A
 refactorization scatters the CSC columns of the whole basis matrix B into a
 dense array and inverts it.
 
@@ -64,16 +71,6 @@ PIVOT_TOL = 1e-11        # smallest acceptable pivot magnitude
 BLAND_AFTER = 100        # degenerate pivots in a row before Bland's rule
 REFRESH_EVERY = 100      # recompute basic values from the factorization
 REFACTOR_EVERY = 1000    # rebuild the basis inverse from scratch
-
-# Nonbasic rest states.
-_BASIC = 0
-_AT_LOWER = 1
-_AT_UPPER = 2
-_AT_ZERO_FREE = 3
-
-# Improving sign of the reduced cost per rest state: at-lower gains from d < 0,
-# at-upper from d > 0; basic variables never enter, free ones are scored apart.
-_STATE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
 
 LP_ITERATION_LIMIT = 50_000  # pivots per LP before status iteration_limit
 
@@ -189,14 +186,17 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
     lo = true_lo.copy()
     hi = true_hi.copy()
 
-    # Start: structural variables rest at their nearest finite bound; every
-    # slack is basic and carries the row residual.
+    # Start: structural variables rest at their nearest finite bound (`side`
+    # and `free` as in the module docstring); every slack is basic and
+    # carries the row residual.
     x = np.zeros(ntot)
-    state = np.full(ntot, _BASIC, dtype=np.int8)
-    finite_lo = np.isfinite(lo[:n])
-    finite_hi = np.isfinite(hi[:n])
-    x[:n] = np.where(finite_lo, lo[:n], np.where(finite_hi, hi[:n], 0.0))
-    state[:n] = np.where(finite_lo, _AT_LOWER, np.where(finite_hi, _AT_UPPER, _AT_ZERO_FREE))
+    side = np.zeros(ntot)
+    finite_lo = np.isfinite(lower)
+    finite_hi = np.isfinite(upper)
+    x[:n] = np.where(finite_lo, lower, np.where(finite_hi, upper, 0.0))
+    side[:n] = np.where(finite_lo, -1.0, np.where(finite_hi, 1.0, 0.0))
+    side[:n][lower == upper] = 0.0  # a fixed column never enters
+    free = np.flatnonzero(~(finite_lo | finite_hi))
     basis = np.arange(n, ntot)
     x[n:] = b - core.matvec(x[:n])
 
@@ -243,29 +243,21 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
         return bool(np.all(resid <= FEAS_TOL * (1.0 + np.abs(b))))
 
     def run_phase(cost: np.ndarray, phase: int) -> str:
-        nonlocal iters, pivots_since_refactor
+        nonlocal iters, pivots_since_refactor, free
         dual_tol = DUAL_TOL_BASE * max(1.0, float(np.abs(cost).max(initial=0.0)))
         bland = False
         degen_run = 0
         verify_rounds = 0
         ray_rounds = 0
         d = np.empty(ntot)
-        fresh = False  # d recomputed from scratch since the last basis change
-        # Fixed variables never enter either; nonbasic free variables gain
-        # from either sign of d and are scored by |d|.
-        sign = _STATE_SIGN[state]
-        sign[lo == hi] = 0.0
-        free = np.flatnonzero((state == _AT_ZERO_FREE) & (lo != hi))
 
         def reprice() -> None:
-            nonlocal fresh
             d[:] = cost - core.rmatvec(Binv.T @ cost[basis])
-            fresh = True
 
         def entering() -> int:
             """The most improving candidate (the first one under Bland's
             rule), or -1 when no reduced cost crosses the tolerance."""
-            score = d * sign
+            score = d * side
             if free.size:
                 score[free] = np.abs(d[free])
             q = int(np.argmax(score > dual_tol)) if bland else int(np.argmax(score))
@@ -283,27 +275,27 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
                 reprice()
 
             q = entering()
-            if q < 0 and not fresh:
+            if q < 0:
                 reprice()
                 q = entering()
             if q < 0:
                 # Claimed optimal: the row residual check is cheap and always
-                # runs; the expensive refactor + re-price only when enough
-                # pivots have accumulated on the factorization for drift to be
-                # a plausible concern (or the residuals say it already is).
+                # runs; the expensive refactor only when enough pivots have
+                # accumulated on the factorization for drift to be a
+                # plausible concern (or the residuals say it already is). The
+                # loop then re-prices before it claims again.
                 if pivots_since_refactor == 0 or verify_rounds >= 2:
                     return OPTIMAL
                 if pivots_since_refactor <= 300 and residual_ok():
                     return OPTIMAL
                 verify_rounds += 1
                 refactor()
-                reprice()
-                q = entering()
-                if q < 0:
-                    return OPTIMAL
+                continue
 
-            sq = state[q]
-            sigma = -1.0 if sq == _AT_UPPER or (sq == _AT_ZERO_FREE and d[q] > 0) else 1.0
+            # q moves against d: a bounded column enters only when d has the
+            # sign of its side, so this also leaves the bound it rests on.
+            sq = side[q]
+            sigma = -1.0 if d[q] > 0 else 1.0
 
             rows_q, vals_q = core.column(q)
             w = Binv[:, rows_q] @ vals_q
@@ -349,17 +341,14 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
                     # bounded below: a ray there is an arithmetic failure.
                     return NUMERICAL if phase == 1 else UNBOUNDED
                 x[bnz] -= t * delta
-                if sq == _AT_LOWER:
-                    x[q], state[q], sign[q] = hi[q], _AT_UPPER, 1.0
-                else:
-                    x[q], state[q], sign[q] = lo[q], _AT_LOWER, -1.0
+                x[q] = hi[q] if sq < 0 else lo[q]
+                side[q] = -sq
             else:
                 t = t_best
                 leave = int(basis[r_best])
                 x[bnz] -= t * delta
                 x[q] += sigma * t
                 x[leave] = hi[leave] if hit_upper else lo[leave]
-                state[q] = _BASIC
                 basis[r_best] = q
                 # New pivot row br = ρ / w_r. The reduced costs move by
                 # d_q·[A | I]ᵀbr, whose slack part is d_q·br; row i of B⁻¹
@@ -368,7 +357,6 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
                 br = Binv[r_best] / w[r_best]
                 d -= core.rmatvec(d[q] * br)
                 d[q] = 0.0
-                fresh = False
                 cols = br.nonzero()[0]
                 Binv[nz[:, None], cols] -= wz[:, None] * br[cols]
                 Binv[r_best] = br
@@ -381,10 +369,9 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
                     hit_upper = bool(x[leave] == hi[leave])
                     d[leave] -= cost[leave]
                     cost[leave] = 0.0
-                state[leave] = _AT_UPPER if hit_upper else _AT_LOWER
-                sign[q] = 0.0
-                sign[leave] = 0.0 if lo[leave] == hi[leave] else (1.0 if hit_upper else -1.0)
-                if sq == _AT_ZERO_FREE:
+                side[q] = 0.0
+                side[leave] = 0.0 if lo[leave] == hi[leave] else (1.0 if hit_upper else -1.0)
+                if sq == 0.0:
                     free = free[free != q]
 
             iters += 1

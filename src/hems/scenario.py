@@ -90,8 +90,9 @@ class ApplianceSpec(_HoldsSeries):
 
     def adt_intervals(self, dt: float) -> int:
         # floor() so the delay never exceeds the stated tolerance; the tiny
-        # epsilon absorbs division noise like 1.5/0.5 -> 2.9999...
-        return int(math.floor(self.adt_hours / dt + 1e-9))
+        # epsilon absorbs division noise like 1.5/0.5 -> 2.9999... No horizon
+        # is longer than MAX_INTERVALS, which also caps an infinite quotient.
+        return int(math.floor(min(self.adt_hours / dt + 1e-9, MAX_INTERVALS)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,10 +222,14 @@ def _check_storage(name: str, s: StorageSpec) -> None:
         )
 
 
+def _check_intervals(T: int) -> None:
+    if not (1 <= T <= MAX_INTERVALS):
+        raise ScenarioError(f"grid.intervals: must lie in [1, {MAX_INTERVALS}], got {T}")
+
+
 def validate(sc: Scenario) -> Scenario:
     """Check every invariant; returns the scenario for chaining."""
-    if not (1 <= sc.grid.T <= MAX_INTERVALS):
-        raise ScenarioError(f"grid.intervals: must lie in [1, {MAX_INTERVALS}], got {sc.grid.T}")
+    _check_intervals(sc.grid.T)
     _check_finite("grid.interval_hours", sc.grid.dt)
     if not (sc.grid.dt > 0):
         raise ScenarioError("grid.interval_hours: must be positive")
@@ -397,6 +402,7 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
     )
     _require_keys("grid", doc["grid"], {"intervals", "interval_hours"})
     T = _count("grid.intervals", doc["grid"]["intervals"])
+    _check_intervals(T)  # before any series is broadcast to T values
     dt = _number("grid.interval_hours", doc["grid"]["interval_hours"])
     grid = TimeGrid(T, dt)
 

@@ -7,6 +7,7 @@ of the formulation), so it catches solver and formulation bugs alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .formulation import Schedule
@@ -71,8 +72,11 @@ class _Family:
         self.rows = 0
 
     def check(self, violation: float, rhs: float, t: int | None = None, app: str | None = None) -> None:
+        """Record one row; a NaN violation fails it as an infinite one."""
         self.rows += 1
-        v = max(0.0, float(violation)) / (1.0 + abs(float(rhs)))
+        v = float(violation) / (1.0 + abs(float(rhs)))
+        if math.isnan(v):
+            v = math.inf
         if v > self.worst:
             self.worst = v
             self.where_t = int(t) if t is not None else None

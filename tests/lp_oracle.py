@@ -15,6 +15,9 @@ full model, whose rows then judge it independently of the audit.
 
 `max_violation`: the worst normalized row or bound violation of an
 assignment, computed term by term from the model's rows.
+
+`highs_solve`: a second solver, HiGHS as bundled with scipy, on the same
+model rows with the binaries integral.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import numpy as np
 
 from hems.formulation import Schedule, VarMap, build_model, schedule_from_values
-from hems.milp import INFEASIBLE, MILPModel, OPTIMAL
+from hems.milp import INFEASIBLE, MILPModel, OPTIMAL, UNBOUNDED
 from hems.milp.simplex import CompiledLP, solve_compiled
 from hems.scenario import Scenario
 
@@ -223,6 +226,37 @@ def max_violation(model: MILPModel, values: np.ndarray) -> float:
     if model.variables:
         worst = max(worst, float(bound_violations(model, values).max()))
     return worst
+
+
+def highs_solve(model: MILPModel) -> tuple[str, float]:
+    """(status, objective) as HiGHS reports them: optimal, infeasible or
+    unbounded, else HiGHS's message; the objective is nan unless optimal."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_matrix
+
+    rows, cols, coefs = [], [], []
+    row_lo = np.full(model.num_constraints, -math.inf)
+    row_hi = np.full(model.num_constraints, math.inf)
+    for i, con in enumerate(model.constraints):
+        for vid, coef in con.terms:
+            rows.append(i)
+            cols.append(vid)
+            coefs.append(coef)
+        if con.sense in ("=", ">="):
+            row_lo[i] = con.rhs
+        if con.sense in ("=", "<="):
+            row_hi[i] = con.rhs
+    A = csr_matrix((coefs, (rows, cols)), shape=(model.num_constraints, model.num_variables))
+    lo, hi = model.bounds_arrays()
+    res = milp(
+        model.objective_vector(),
+        integrality=np.array([v.kind == "binary" for v in model.variables], dtype=int),
+        bounds=Bounds(lo, hi),
+        constraints=LinearConstraint(A, row_lo, row_hi),
+        options={"mip_rel_gap": 0.0},
+    )
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, res.message)
+    return status, float(res.fun) if status == OPTIMAL else math.nan
 
 
 def random_boxed_lp(rng: np.random.Generator, max_vars: int = 7, max_rows: int = 5) -> MILPModel:

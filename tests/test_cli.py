@@ -165,6 +165,15 @@ def _set(path: tuple, value):
     return edit
 
 
+def _intervals(count: int):
+    """An edit that sets the horizon and a scalar PV series, which the parser
+    would broadcast to that many values."""
+    def edit(doc: dict) -> None:
+        doc["grid"]["intervals"] = count
+        doc["pv_gen"] = 0.5
+    return edit
+
+
 def _raw(data: bytes):
     """An edit that replaces the whole document with `data`."""
     return lambda doc: data
@@ -194,13 +203,16 @@ def _raw(data: bytes):
         (_set(("ev", "soe_max"), math.inf), "ev.soe_max"),
         (_set(("penalties", "ev_sold"), math.inf), "penalties.ev_sold"),
         (_set(("grid", "interval_hours"), math.inf), "grid.interval_hours"),
+        (_intervals(-5), "grid.intervals"),
+        (_intervals(10**12), "grid.intervals"),
     ],
     ids=["missing-key", "charge-rate", "adt-hours", "import-cap", "profile-entry",
          "fractional-intervals", "fractional-arrival", "boolean-charge-rate",
          "boolean-arrival", "boolean-series-entry", "quoted-end-reserve",
          "quoted-full-at-departure", "undecodable-scenario", "infinite-adt-hours",
          "nan-adt-hours", "nan-charge-rate", "infinite-charge-rate", "nan-ev-discharge-rate",
-         "infinite-ev-capacity", "infinite-ev-penalty", "infinite-interval-hours"],
+         "infinite-ev-capacity", "infinite-ev-penalty", "infinite-interval-hours",
+         "negative-intervals", "huge-intervals"],
 )
 def test_solve_rejects_bad_scenario(runner, tmp_path, edit, field):
     import yaml
@@ -264,7 +276,7 @@ def test_solve_honours_explicit_limits_in_case_a(runner, tmp_path):
 
 
 def test_solve_honours_import_cap_in_case_d(runner, tmp_path, hourly_sweep):
-    from test_mode_binaries import highs_optimum
+    from lp_oracle import highs_solve
 
     path = write_limits(tmp_path, {"import_cap": 3.0})
     out = tmp_path / "capped"
@@ -277,7 +289,8 @@ def test_solve_honours_import_cap_in_case_d(runner, tmp_path, hourly_sweep):
     assert result.exit_code == 0, result.output
     sc = synth_case("D", True, load_scenario(path))
     assert sc.caps[0] == 3.0
-    full = highs_optimum(build_model(sc, full=True)[0])
+    status, full = highs_solve(build_model(sc, full=True)[0])
+    assert status == "optimal"
     assert capped == pytest.approx(full, abs=1e-6 * (1 + abs(full)))
 
 

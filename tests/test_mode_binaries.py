@@ -6,7 +6,6 @@ full=True)`, and every schedule must pass the audit, exclusivity included.
 The fallback cases keep some binaries and are checked the same way.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,47 +13,20 @@ import pytest
 
 import hems.formulation as formulation
 from hems.formulation import build_model, solve_scenario
-from hems.milp import OPTIMAL, MILPModel
+from hems.milp import OPTIMAL
 from hems.scenario import EVSpec, StorageSpec, synth_case
 from hems.validation import audit
 
+from lp_oracle import highs_solve
 from scenario_gen import perturbed_household
 from test_formulation import make_scenario
-
-
-def highs_optimum(model: MILPModel) -> float:
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csr_matrix
-
-    rows, cols, coefs = [], [], []
-    row_lo = np.full(model.num_constraints, -math.inf)
-    row_hi = np.full(model.num_constraints, math.inf)
-    for i, con in enumerate(model.constraints):
-        for vid, coef in con.terms:
-            rows.append(i)
-            cols.append(vid)
-            coefs.append(coef)
-        if con.sense in ("=", ">="):
-            row_lo[i] = con.rhs
-        if con.sense in ("=", "<="):
-            row_hi[i] = con.rhs
-    A = csr_matrix((coefs, (rows, cols)), shape=(model.num_constraints, model.num_variables))
-    lo, hi = model.bounds_arrays()
-    res = milp(
-        model.objective_vector(),
-        integrality=np.array([v.kind == "binary" for v in model.variables], dtype=int),
-        bounds=Bounds(lo, hi),
-        constraints=LinearConstraint(A, row_lo, row_hi),
-        options={"mip_rel_gap": 0.0},
-    )
-    assert res.status == 0, res.message
-    return float(res.fun)
 
 
 def assert_matches_full_model(sc):
     result = solve_scenario(sc)
     assert result.solution.status == OPTIMAL
-    full = highs_optimum(build_model(sc, full=True)[0])
+    status, full = highs_solve(build_model(sc, full=True)[0])
+    assert status == OPTIMAL
     assert result.solution.objective == pytest.approx(full, abs=1e-6 * (1 + abs(full)))
     assert audit(sc, result.schedule).passed
     return result

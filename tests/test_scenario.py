@@ -10,6 +10,7 @@ import yaml
 
 from hems.formulation import solve_scenario
 from hems.scenario import (
+    MAX_INTERVALS,
     ApplianceSpec,
     Device,
     EVSpec,
@@ -23,6 +24,7 @@ from hems.scenario import (
     scenario_to_mapping,
     synth_case,
 )
+from hems.validation import audit
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -310,6 +312,16 @@ def test_adt_interval_conversion():
     assert app.adt_intervals(1.0) == 1
     assert ApplianceSpec("y", (1.0,), 4.0).adt_intervals(1.0) == 4
     assert ApplianceSpec("z", (1.0,), 0.0).adt_intervals(0.5) == 0
+
+
+def test_subnormal_interval_caps_the_delay(hourly_reference):
+    """adt_hours / dt overflows to inf: the delay caps at MAX_INTERVALS and
+    the horizon clamps the destinations, so the day still solves."""
+    assert ApplianceSpec("w", (1.0,), 4.0).adt_intervals(1.0e-320) == MAX_INTERVALS
+    sc = synth_case("C", True, replace(hourly_reference, grid=TimeGrid(24, 1.0e-320)))
+    result = solve_scenario(sc)
+    assert result.solution.status == "optimal"
+    assert audit(sc, result.schedule).passed
 
 
 def test_synth_case_masks(halfhour_reference):

@@ -22,7 +22,7 @@ from hems.milp import simplex
 from hems.milp.simplex import CompiledLP, solve_compiled
 from hems.scenario import synth_case
 
-from lp_oracle import enumerate_lp_optimum, max_violation, random_boxed_lp
+from lp_oracle import enumerate_lp_optimum, highs_solve, max_violation, random_boxed_lp
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
@@ -128,6 +128,32 @@ def test_free_variable():
     r = solve_lp(m)
     assert r.status == OPTIMAL
     assert r.objective == pytest.approx(-7.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "rows, objective, point",
+    [
+        # x stays nonbasic through phase 1 and enters in phase 2.
+        ([([(1, 1.0)], ">=", 3.0), ([(0, 1.0), (1, -1.0)], ">=", -7.0)], -4.0, (-4.0, 3.0)),
+        # x enters during phase 1.
+        ([([(0, 1.0), (1, 1.0)], "=", 20.0)], 10.0, (10.0, 10.0)),
+    ],
+    ids=["enters-in-phase-2", "enters-in-phase-1"],
+)
+def test_free_variable_across_phase_1(rows, objective, point):
+    """min x over a free x and y in [0, 10], from a start that violates the
+    first row, so phase 1 runs with the free column in the free list."""
+    m = MILPModel()
+    x = m.add_variable("continuous", -math.inf, math.inf, "x")
+    m.add_continuous("y", 0.0, 10.0)
+    for i, (terms, sense, rhs) in enumerate(rows):
+        m.add_constraint(terms, sense, rhs, f"r{i}")
+    m.set_objective([(x, 1.0)])
+    r = solve_lp(m)
+    assert r.status == OPTIMAL
+    assert r.objective == pytest.approx(objective, abs=1e-8)
+    assert r.values == pytest.approx(point, abs=1e-8)
+    assert r.lp_iterations == 2
 
 
 def _two_relaxed_rows_model() -> MILPModel:
@@ -346,39 +372,22 @@ def _sparse_boxed_lp(rng: np.random.Generator, m: int, kind: str) -> MILPModel:
     return model
 
 
-def _highs(model: MILPModel):
-    from scipy.optimize import linprog
-
-    A = np.zeros((model.num_constraints, model.num_variables))
-    b = np.zeros(model.num_constraints)
-    for i, con in enumerate(model.constraints):
-        for vid, coef in con.terms:
-            A[i, vid] = -coef if con.sense == ">=" else coef
-        b[i] = -con.rhs if con.sense == ">=" else con.rhs
-    eq = np.array([con.sense == "=" for con in model.constraints])
-    lo, hi = model.bounds_arrays()
-    bounds = [(l, None if math.isinf(h) else h) for l, h in zip(lo, hi)]
-    return linprog(model.objective_vector(), A_ub=A[~eq], b_ub=b[~eq], A_eq=A[eq], b_eq=b[eq],
-                   bounds=bounds, method="highs")
-
-
 def test_mid_size_sparse_lps_match_highs():
     """Sparse LPs long enough (over 300 iterations each) to pass the periodic
     refresh every 100 pivots and the 300-pivot threshold of the
     refactor-on-verify check, where the incrementally updated reduced costs
     are recomputed."""
     rng = np.random.default_rng(2026)
-    expected = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}  # linprog status codes
     for m, kind in ((200, "optimal"), (280, "optimal"), (380, "optimal"),
                     (240, "unbounded"), (320, "infeasible")):
         model = _sparse_boxed_lp(rng, m, kind)
         ours = solve_lp(model)
-        ref = _highs(model)
-        assert expected[ref.status] == kind
+        status, ref = highs_solve(model)
+        assert status == kind
         assert ours.status == kind, (m, kind)
         assert ours.lp_iterations > 300, (m, kind, ours.lp_iterations)
         if kind == OPTIMAL:
-            assert ours.objective == pytest.approx(ref.fun, abs=1e-6 * (1 + abs(ref.fun)))
+            assert ours.objective == pytest.approx(ref, abs=1e-6 * (1 + abs(ref)))
             assert max_violation(model, ours.values) <= 1e-6
 
 
@@ -405,11 +414,11 @@ def test_blands_rule_reaches_the_same_optimum(monkeypatch, request, reference, c
     default = solve_lp(model)
     monkeypatch.setattr(simplex, "BLAND_AFTER", 1)
     bland = solve_lp(model)
-    ref = _highs(model)
-    assert default.status == bland.status == OPTIMAL
+    status, ref = highs_solve(model)
+    assert default.status == bland.status == status == OPTIMAL
     assert bland.lp_iterations != default.lp_iterations
     assert bland.objective == pytest.approx(default.objective, rel=1e-12)
-    assert bland.objective == pytest.approx(ref.fun, abs=1e-6 * (1 + abs(ref.fun)))
+    assert bland.objective == pytest.approx(ref, abs=1e-6 * (1 + abs(ref)))
 
 
 def test_compiled_lp_stores_a_then_the_unit_slack_columns(halfhour_reference):

@@ -67,21 +67,32 @@ FIELDS = ("grid_buy", "grid_sell", "pv_used", "pv_sold", "served_load")
 DEVICE_FIELDS = ("charge", "discharge", "used", "sold", "soe")
 
 
+def _fails_at(report, t: int, delta: float) -> bool:
+    """Whether the report fails; a NaN quantity must fail some family as an
+    infinite violation at its own interval."""
+    if math.isnan(delta):
+        return any(f.worst_violation == math.inf and f.worst_interval == t
+                   for f in report.families if not f.passed)
+    return not report.passed
+
+
 def test_audit_completeness_every_mutation_caught(hourly_sweep):
-    """+0.1 on any single quantity (or any assignment flip) must fail some family."""
+    """+0.1 or NaN on any single quantity (or any assignment flip) must fail
+    some family."""
     scenario, result = hourly_sweep[("D", True)]
     T = scenario.grid.T
-    for field in FIELDS:
-        for t in range(0, T, 5):
-            schedule = clone_schedule(result.schedule)
-            getattr(schedule, field)[t] += 0.1
-            assert not audit(scenario, schedule).passed, (field, t)
-    for dev in ("ess", "ev"):
-        for field in DEVICE_FIELDS:
+    for delta in (0.1, math.nan):
+        for field in FIELDS:
             for t in range(0, T, 5):
                 schedule = clone_schedule(result.schedule)
-                getattr(getattr(schedule, dev), field)[t] += 0.1
-                assert not audit(scenario, schedule).passed, (dev, field, t)
+                getattr(schedule, field)[t] += delta
+                assert _fails_at(audit(scenario, schedule), t, delta), (field, t, delta)
+        for dev in ("ess", "ev"):
+            for field in DEVICE_FIELDS:
+                for t in range(0, T, 5):
+                    schedule = clone_schedule(result.schedule)
+                    getattr(getattr(schedule, dev), field)[t] += delta
+                    assert _fails_at(audit(scenario, schedule), t, delta), (dev, field, t, delta)
     for ai, app in enumerate(scenario.appliances):
         adt = app.adt_intervals(scenario.grid.dt)
         for src in np.flatnonzero(app.profile > 0):

@@ -17,12 +17,17 @@ The gate set is three sets of runs:
   the export cap at peak PV (`exportcap`).
 
 Each line holds the set, the run, the status, the B&B nodes, the LP
-iterations and `objective.hex()`; the last line holds the totals. Comparing
-two commits is a `diff` of their outputs.
+iterations and `objective.hex()`, then the audit verdict of the schedule
+(`audit=pass`, or `audit=FAIL` when it fails or no schedule exists) and
+`highs=`, the relative difference |ours - HiGHS| / (1 + |HiGHS|) from the
+HiGHS optimum of the paper's full model, `build_model(sc, full=True)`. The
+last line holds the totals, the number of audit failures and the largest
+HiGHS difference. Comparing two commits is a `diff` of their outputs.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,8 +35,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from hems import MilpOptions, build_model, load_scenario, solve_milp, synth_case  # noqa: E402
+from hems import MilpOptions, audit, build_model, load_scenario, solve_scenario, synth_case  # noqa: E402
+from hems.milp import OPTIMAL  # noqa: E402
 from households import CASES, HouseholdStream  # noqa: E402
+from oracle import highs_optimum  # noqa: E402
 
 FILES = {"hourly": "reference_hourly.yaml", "halfhour": "reference_halfhour.yaml"}
 SEED = 3
@@ -68,14 +75,24 @@ def runs():
 
 def main() -> int:
     totals: dict[str, list[int]] = {}
+    audit_failures = 0
+    highs_max = 0.0
     for kind, rid, sc, options in runs():
-        model, _ = build_model(sc)
-        sol = solve_milp(model, options)
-        print(kind, rid, sol.status, sol.nodes_explored, sol.lp_iterations, sol.objective.hex())
+        result = solve_scenario(sc, options)
+        sol = result.solution
+        passed = result.schedule is not None and audit(sc, result.schedule).passed
+        audit_failures += not passed
+        highs = highs_optimum(build_model(sc, full=True)[0])
+        # HiGHS proved an optimum, so any other status of ours disagrees.
+        diff = abs(sol.objective - highs) / (1.0 + abs(highs)) if sol.status == OPTIMAL else math.inf
+        highs_max = max(highs_max, diff)
+        print(kind, rid, sol.status, sol.nodes_explored, sol.lp_iterations, sol.objective.hex(),
+              f"audit={'pass' if passed else 'FAIL'}", f"highs={diff:.1e}")
         total = totals.setdefault(kind, [0, 0])
         total[0] += sol.nodes_explored
         total[1] += sol.lp_iterations
-    print("totals", " ".join(f"{kind} {n} / {i}" for kind, (n, i) in totals.items()))
+    print("totals", " ".join(f"{kind} {n} / {i}" for kind, (n, i) in totals.items()),
+          f"audit_failures {audit_failures} highs_max {highs_max:.1e}")
     return 0
 
 
