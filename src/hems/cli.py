@@ -22,7 +22,6 @@ from .io import (
     cost_to_mapping,
     schedule_from_csv,
     schedule_to_csv,
-    write_audit_report,
     write_json,
     ScheduleCSVError,
 )
@@ -31,6 +30,7 @@ from .scenario import CASES, Scenario, ScenarioError, load_scenario, synth_case
 from .validation import audit, diagnose_infeasibility
 
 _DAY_HOURS = 24.0
+_DSM_FLAGS = {"on": [True], "off": [False], "both": [False, True]}
 
 
 def _load(path: Path) -> Scenario:
@@ -44,10 +44,6 @@ def _finite_hour(ctx, param, value: float) -> float:
     if not math.isfinite(value):
         raise click.BadParameter(f"must be a finite hour, got {value}")
     return value
-
-
-def _dsm_flags(dsm: str) -> list[bool]:
-    return {"on": [True], "off": [False], "both": [False, True]}[dsm]
 
 
 def _solve_cases(
@@ -69,7 +65,7 @@ def _solve_cases(
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = []
     for case in cases:
-        for flag in _dsm_flags(dsm):
+        for flag in _DSM_FLAGS[dsm]:
             sc = synth_case(case, flag, scenario)
             t0 = time.perf_counter()
             result = solve_scenario(sc, opts)
@@ -122,20 +118,34 @@ def main() -> None:
     """Day-ahead home energy scheduling with an embedded MILP solver."""
 
 
+_SCENARIO_FILE = click.argument(
+    "scenario_file", type=click.Path(exists=True, dir_okay=False, path_type=Path)
+)
+_SOLVE_PARAMS = (  # shared by `solve` and `sweep`, in display order
+    _SCENARIO_FILE,
+    click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
+                 default=Path("runs"), show_default=True, help="Artifact directory."),
+    click.option("--origin-hour", type=float, default=20.0, show_default=True,
+                 callback=_finite_hour, help="Wall-clock hour of interval 0 (labels output rows)."),
+    click.option("--node-limit", type=click.IntRange(min=1), default=MilpOptions().node_limit,
+                 show_default=True, help="Branch-and-bound node cap."),
+)
+
+
+def _solve_params(command):
+    for param in reversed(_SOLVE_PARAMS):  # the last applied is listed first
+        command = param(command)
+    return command
+
+
 @main.command()
-@click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--case", type=click.Choice(CASES, case_sensitive=False), default="D",
               help="Device combination to keep (A loads, B +PV, C +ESS, D +EV).")
 @click.option("--dsm", type=click.Choice(["on", "off", "both"]), default="on",
               help="Honor acceptable delay times, zero them, or run both.")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
-              default=Path("runs"), show_default=True, help="Artifact directory.")
-@click.option("--origin-hour", type=float, default=20.0, show_default=True,
-              callback=_finite_hour, help="Wall-clock hour of interval 0 (labels output rows).")
-@click.option("--node-limit", type=click.IntRange(min=1), default=MilpOptions().node_limit,
-              show_default=True, help="Branch-and-bound node cap.")
 @click.option("--dump-lp", is_flag=True, default=False,
               help="Also write 'model_<tag>.lp' (LP text format) for external solvers.")
+@_solve_params
 def solve(scenario_file, case, dsm, out_dir, origin_hour, node_limit, dump_lp):
     """Solve one scenario case and write schedule/cost artifacts."""
     scenario = _load(scenario_file)
@@ -145,17 +155,11 @@ def solve(scenario_file, case, dsm, out_dir, origin_hour, node_limit, dump_lp):
 
 
 @main.command()
-@click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--cases", default="all", show_default=True,
               help="Comma-separated subset of A,B,C,D or 'all'.")
 @click.option("--dsm", type=click.Choice(["on", "off", "both"]), default="both",
-              show_default=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
-              default=Path("runs"), show_default=True)
-@click.option("--origin-hour", type=float, default=20.0, show_default=True,
-              callback=_finite_hour)
-@click.option("--node-limit", type=click.IntRange(min=1), default=MilpOptions().node_limit,
-              show_default=True)
+              show_default=True, help="Honor acceptable delay times, zero them, or run both.")
+@_solve_params
 def sweep(scenario_file, cases, dsm, out_dir, origin_hour, node_limit):
     """Run the case-study sweep and write a summary table.
 
@@ -193,7 +197,7 @@ def sweep(scenario_file, cases, dsm, out_dir, origin_hour, node_limit):
 
 
 @main.command()
-@click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@_SCENARIO_FILE
 @click.argument("schedule_csv", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--report", "report_path", type=click.Path(dir_okay=False, path_type=Path),
               default=None, help="Where to write the audit report JSON.")
@@ -218,7 +222,7 @@ def validate(scenario_file, schedule_csv, report_path):
             f"rows={fam.rows_checked}{where}"
         )
     if report_path is not None:
-        write_audit_report(report, report_path)
+        write_json(report.to_mapping(), report_path)
         click.echo(f"report written to {report_path}")
     sys.exit(0 if report.passed else 1)
 

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .formulation import CostBreakdown, DeviceSchedule, Schedule
 from .scenario import MAX_INTERVALS, Scenario
-from .validation import AuditReport
 
 SCHEDULE_SCHEMA = "hems-schedule/1"
 COST_SCHEMA = "hems-costs/1"
@@ -120,11 +120,14 @@ def schedule_from_csv(path, scenario: Scenario) -> Schedule:
             )
         for name, raw in zip(quantities, row[2:first_shift]):
             try:
-                numbers.append(float(raw))
-            except ValueError as exc:
+                value = float(raw)
+            except ValueError:
+                value = math.nan  # not a number: reported below
+            if not math.isfinite(value):
                 raise ScheduleCSVError(
                     f"{path}: line {line_num}: bad number {raw!r} in column {name}"
-                ) from exc
+                )
+            numbers.append(value)
         for a, raw in enumerate(row[first_shift:]):
             if raw == "":
                 continue
@@ -175,11 +178,17 @@ def cost_to_mapping(
     }
 
 
+def _finite(value):
+    """`value` with each non-finite float made None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(mapping: dict, path) -> None:
+    """Write strict RFC 8259 JSON: a non-finite float is written as null."""
     with open(path, "w") as fh:
-        json.dump(mapping, fh, indent=2, sort_keys=True)
+        json.dump(_finite(mapping), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def write_audit_report(report: AuditReport, path) -> None:
-    write_json(report.to_mapping(), path)

@@ -366,14 +366,8 @@ def _require_keys(name: str, mapping: dict, required: set[str], optional: set[st
         raise ScenarioError(f"{name}: unknown keys {sorted(unknown)}")
 
 
-_STORAGE_KEYS = {
-    "charge_rate",
-    "discharge_rate",
-    "charge_eff",
-    "discharge_eff",
-    "soe_min",
-    "soe_max",
-}
+# Required in both storage blocks, in field order so the first bad key is named.
+_STORAGE_KEYS = tuple(f.name for f in fields(StorageSpec) if f.name != "soe_init")
 
 
 def _parse_storage(name: str, block: dict, soe_init_default=None) -> StorageSpec:
@@ -427,7 +421,7 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
     ess = None
     ess_end_reserve = True
     if doc.get("ess") is not None:
-        _require_keys("ess", doc["ess"], _STORAGE_KEYS | {"soe_init"}, {"end_reserve"})
+        _require_keys("ess", doc["ess"], {*_STORAGE_KEYS, "soe_init"}, {"end_reserve"})
         ess = _parse_storage("ess", doc["ess"])
         ess_end_reserve = _flag("ess.end_reserve", doc["ess"].get("end_reserve", True))
 
@@ -436,7 +430,7 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
         _require_keys(
             "ev",
             doc["ev"],
-            _STORAGE_KEYS | {"arrival", "departure"},
+            {*_STORAGE_KEYS, "arrival", "departure"},
             {"soe_init", "require_full_at_departure"},
         )
         # Arrival state of charge defaults to 80% of capacity.

@@ -8,7 +8,7 @@ of the formulation), so it catches solver and formulation bugs alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .formulation import Schedule
 from .scenario import Device, Scenario
@@ -21,6 +21,7 @@ FAMILIES = ("balance", "ess", "ev", "pv", "export", "exclusivity", "shifting")
 
 @dataclass(frozen=True)
 class FamilyResult:
+    """One audit family; the fields are the `hems-audit/1` family keys."""
     name: str
     passed: bool
     worst_violation: float          # normalized by (1 + |rhs|)
@@ -39,27 +40,14 @@ class AuditReport:
         return all(f.passed for f in self.families)
 
     def family(self, name: str) -> FamilyResult:
-        for f in self.families:
-            if f.name == name:
-                return f
-        raise KeyError(name)
+        return {f.name: f for f in self.families}[name]
 
     def to_mapping(self) -> dict:
         return {
             "schema": AUDIT_SCHEMA,
             "passed": self.passed,
             "tolerance": self.tolerance,
-            "families": [
-                {
-                    "name": f.name,
-                    "passed": f.passed,
-                    "worst_violation": f.worst_violation,
-                    "worst_interval": f.worst_interval,
-                    "worst_appliance": f.worst_appliance,
-                    "rows_checked": f.rows_checked,
-                }
-                for f in self.families
-            ],
+            "families": [asdict(f) for f in self.families],
         }
 
 

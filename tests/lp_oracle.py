@@ -6,9 +6,9 @@ plus n-k variables pinned at a bound. Enumerating every such combination and
 keeping the best feasible candidate gives the exact optimum for boxed LPs,
 with no simplex machinery involved.
 
-`brute_force_optimum`: every binary fixing of the paper's full model
-enumerated, each remaining LP solved, trusting nothing about
-branch-and-bound.
+`best_binary_fixing`: every binary fixing of a MILP enumerated, each
+remaining LP solved, trusting nothing about branch-and-bound.
+`brute_force_optimum` applies it to the paper's full model of a scenario.
 
 `schedule_to_values`: a schedule mapped onto the variables of the paper's
 full model, whose rows then judge it independently of the audit.
@@ -99,26 +99,17 @@ class OracleSizeError(ValueError):
 BRUTE_FORCE_LIMIT = 14
 
 
-def brute_force_optimum(scenario: Scenario) -> tuple[float, Schedule | None]:
-    """Global optimum by exhaustive enumeration of every binary fixing.
+def best_binary_fixing(model: MILPModel) -> tuple[float, np.ndarray | None]:
+    """(objective, x) of the best binary fixing of `model`, an LP for the rest.
 
-    Enumeration is lexicographic with strict-improvement updates, so among
-    equal objectives the lexicographically smallest binary vector wins.
-    Always solves the paper's full model (`build_model(full=True)`), so it
-    does not depend on which mode binaries the solved model leaves out.
-    Fixings that break a row made of binaries alone (or a pre-fixed bound)
-    are infeasible whatever the LP does, and their LP is skipped.
-    Returns (inf, None) when no fixing is feasible. Refuses scenarios with
-    more than `BRUTE_FORCE_LIMIT` binaries.
+    Every fixing within the binaries' bounds is tried in lexicographic order,
+    each by one `solve_compiled` call, with strict-improvement updates, so
+    among equal objectives the lexicographically smallest binary vector wins.
+    Fixings that break a row made of binaries alone are infeasible whatever
+    the LP does, and their LP is skipped. Returns (inf, None) when no fixing
+    has an optimal LP.
     """
-    model, varmap = build_model(scenario, full=True)
     binaries = np.array(model.binary_ids(), dtype=int)
-    if len(binaries) > BRUTE_FORCE_LIMIT:
-        raise OracleSizeError(
-            f"scenario compiles to {len(binaries)} binary variables, above the "
-            f"exhaustive-enumeration limit of {BRUTE_FORCE_LIMIT} "
-            f"(model: {model.num_variables} variables, {model.num_constraints} rows)"
-        )
     core = CompiledLP(model)
     lo, hi = model.bounds_arrays()
     fixings = np.array(list(itertools.product((0.0, 1.0), repeat=len(binaries))))
@@ -143,6 +134,26 @@ def brute_force_optimum(scenario: Scenario) -> tuple[float, Schedule | None]:
         if res.objective < best_obj - 1e-12 * (1.0 + abs(res.objective)):
             best_obj = res.objective
             best_x = res.x
+    return best_obj, best_x
+
+
+def brute_force_optimum(scenario: Scenario) -> tuple[float, Schedule | None]:
+    """Global optimum of the scenario by `best_binary_fixing`.
+
+    Always solves the paper's full model (`build_model(full=True)`), so it
+    does not depend on which mode binaries the solved model leaves out.
+    Returns (inf, None) when no fixing is feasible. Refuses scenarios with
+    more than `BRUTE_FORCE_LIMIT` binaries.
+    """
+    model, varmap = build_model(scenario, full=True)
+    n_binaries = len(model.binary_ids())
+    if n_binaries > BRUTE_FORCE_LIMIT:
+        raise OracleSizeError(
+            f"scenario compiles to {n_binaries} binary variables, above the "
+            f"exhaustive-enumeration limit of {BRUTE_FORCE_LIMIT} "
+            f"(model: {model.num_variables} variables, {model.num_constraints} rows)"
+        )
+    best_obj, best_x = best_binary_fixing(model)
     if best_x is None:
         return math.inf, None
     return best_obj, schedule_from_values(scenario, varmap, best_x)

@@ -23,38 +23,14 @@ from hems.milp import (
     solve_lp,
     solve_milp,
 )
-from hems.milp.simplex import CompiledLP, SimplexResult, solve_compiled
+from hems.milp.simplex import CompiledLP, SimplexResult
 from hems.scenario import synth_case
 
-from lp_oracle import max_violation, random_boxed_lp
+from lp_oracle import best_binary_fixing, max_violation, random_boxed_lp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 HOURLY = SCENARIOS / "reference_hourly.yaml"
 HALFHOUR = SCENARIOS / "reference_halfhour.yaml"
-
-
-def enumerate_milp(model: MILPModel) -> tuple[str, float]:
-    """Brute force over all binary fixings, LP for the rest."""
-    binaries = model.binary_ids()
-    core = CompiledLP(model)
-    lo, hi = model.bounds_arrays()
-    best = math.inf
-    found = False
-    for fixing in itertools.product((0.0, 1.0), repeat=len(binaries)):
-        flo, fhi = lo.copy(), hi.copy()
-        ok = True
-        for vid, val in zip(binaries, fixing):
-            if val < lo[vid] or val > hi[vid]:
-                ok = False
-                break
-            flo[vid] = fhi[vid] = val
-        if not ok:
-            continue
-        r = solve_compiled(core, flo, fhi)
-        if r.status == OPTIMAL:
-            found = True
-            best = min(best, r.objective)
-    return (OPTIMAL, best) if found else (INFEASIBLE, math.nan)
 
 
 def random_small_milp(rng: np.random.Generator) -> MILPModel:
@@ -152,10 +128,10 @@ def test_random_milps_match_brute_force():
     n_checked = 0
     for _ in range(60):
         model = random_small_milp(rng)
-        status, best = enumerate_milp(model)
+        best, best_x = best_binary_fixing(model)
         r = solve_milp(model)
-        assert r.status == status
-        if status == OPTIMAL:
+        assert r.status == (INFEASIBLE if best_x is None else OPTIMAL)
+        if best_x is not None:
             n_checked += 1
             assert r.objective == pytest.approx(best, abs=1e-6 * (1 + abs(best)))
             assert max_violation(model, r.values) <= 1e-6

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -465,16 +466,71 @@ def test_schedule_csv_rejects_unrepresentable_destination(tmp_path, hourly_sweep
         schedule_from_csv(path, scenario)
 
 
+def set_cells(path: Path, line: int, cells: dict[str, str]) -> None:
+    """Overwrite the named columns of one line (1-based) of a schedule CSV."""
+    lines = path.read_text().splitlines()
+    header = lines[1].split(",")
+    fields = lines[line - 1].split(",")
+    for column, value in cells.items():
+        fields[header.index(column)] = value
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def test_schedule_csv_parse_error_has_line_number(tmp_path, hourly_sweep):
     scenario, result = hourly_sweep[("A", True)]
     path = tmp_path / "a.csv"
-    schedule_to_csv(result.schedule, scenario, path)
-    lines = path.read_text().splitlines()
-    fields = lines[5].split(",")
-    fields[2] = "oops"  # grid_buy_kw column
-    lines[5] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
     from hems.io import ScheduleCSVError
 
-    with pytest.raises(ScheduleCSVError, match="line 6"):
-        schedule_from_csv(path, scenario)
+    for raw in ("oops", "nan", "inf", "-inf"):
+        schedule_to_csv(result.schedule, scenario, path)
+        set_cells(path, 6, {"grid_buy_kw": raw})
+        message = f"line 6: bad number '{raw}' in column grid_buy_kw"
+        with pytest.raises(ScheduleCSVError, match=re.escape(message)):
+            schedule_from_csv(path, scenario)
+
+
+def test_validate_rejects_a_non_finite_cell(runner, tmp_path, hourly_sweep):
+    scenario, result = hourly_sweep[("C", False)]
+    scenario_path = tmp_path / "case_c.yaml"
+    save_scenario(scenario, scenario_path)
+    csv_path = tmp_path / "schedule.csv"
+    schedule_to_csv(result.schedule, scenario, csv_path)
+    set_cells(csv_path, 3, {"ess_soe_kwh": "nan"})
+    result = runner.invoke(main, ["validate", str(scenario_path), str(csv_path)])
+    assert result.exit_code == 2, result.output
+    assert "line 3: bad number 'nan' in column ess_soe_kwh" in result.output
+
+
+def test_validate_report_is_strict_json_when_a_violation_overflows(
+    runner, tmp_path, hourly_sweep
+):
+    # Finite cells whose sum overflows: the balance violation is infinite.
+    scenario, result = hourly_sweep[("C", False)]
+    scenario_path = tmp_path / "case_c.yaml"
+    save_scenario(scenario, scenario_path)
+    csv_path = tmp_path / "schedule.csv"
+    schedule_to_csv(result.schedule, scenario, csv_path)
+    set_cells(csv_path, 6, {"grid_buy_kw": "1e308", "pv_used_kw": "1e308"})  # interval 3
+    report_path = tmp_path / "audit.json"
+    result = runner.invoke(
+        main, ["validate", str(scenario_path), str(csv_path), "--report", str(report_path)]
+    )
+    assert result.exit_code == 1, result.output
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    report = json.loads(report_path.read_text(), parse_constant=reject)
+    balance = next(f for f in report["families"] if f["name"] == "balance")
+    assert balance["passed"] is False
+    assert balance["worst_violation"] is None
+    assert balance["worst_interval"] == 3
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_shared_options_have_help_text(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    for text in ("Artifact directory.", "Wall-clock hour", "Branch-and-bound node cap."):
+        assert text in result.output

@@ -1,6 +1,9 @@
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import hems
 from hems.formulation import solve_scenario
 from hems.scenario import (
     MAX_INTERVALS,
@@ -131,6 +135,35 @@ def test_storage_invariants():
     }
     with pytest.raises(ScenarioError, match="soe_min <= soe_init"):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "3"])
+def test_first_bad_storage_key_is_named_whatever_the_hash_seed(hash_seed):
+    # The keys are parsed in StorageSpec field order, not in set order.
+    doc = minimal_doc()
+    doc["ess"] = {
+        "charge_rate": "fast",
+        "discharge_rate": "slow",
+        "charge_eff": 0.95,
+        "discharge_eff": 0.95,
+        "soe_min": 0.0,
+        "soe_max": 6.0,
+        "soe_init": 1.0,
+    }
+    code = (
+        "from hems.scenario import ScenarioError, parse_scenario\n"
+        "try:\n"
+        f"    parse_scenario({doc!r})\n"
+        "except ScenarioError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(hems.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    ).stdout
+    assert out.startswith("ess.charge_rate: expected a number"), out
 
 
 def test_big_m_auto_computation():

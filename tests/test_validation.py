@@ -55,12 +55,23 @@ def test_audit_flags_early_shift():
 
 def test_audit_report_serializes(hourly_sweep):
     scenario, result = hourly_sweep[("D", True)]
-    mapping = audit(scenario, result.schedule).to_mapping()
+    report = audit(scenario, result.schedule)
+    mapping = report.to_mapping()
     assert mapping["schema"] == "hems-audit/1"
     assert mapping["passed"] is True
     assert {f["name"] for f in mapping["families"]} == {
         "balance", "ess", "ev", "pv", "export", "exclusivity", "shifting",
     }
+    # The hems-audit/1 family keys, as the README documents them.
+    for entry, fam in zip(mapping["families"], report.families, strict=True):
+        assert entry == {
+            "name": fam.name,
+            "passed": fam.passed,
+            "worst_violation": fam.worst_violation,
+            "worst_interval": fam.worst_interval,
+            "worst_appliance": fam.worst_appliance,
+            "rows_checked": fam.rows_checked,
+        }
 
 
 FIELDS = ("grid_buy", "grid_sell", "pv_used", "pv_sold", "served_load")
