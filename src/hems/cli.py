@@ -56,11 +56,11 @@ def _solve_cases(
     dump_lp: bool = False,
 ) -> list[tuple[dict, str]]:
     """Solve every (case, dsm) combination through `solve_scenario`, print
-    each outcome and write its artifacts: schedule and costs when optimal,
-    the LP text on request.
+    each outcome and write its artifacts: schedule and costs whenever a
+    schedule exists, the LP text on request.
 
     Returns, per run, its stats.json entry (seconds cover build + solve +
-    decode) and its summary.csv row (money columns empty unless optimal).
+    decode) and its summary.csv row (money columns empty without a schedule).
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = []
@@ -75,20 +75,14 @@ def _solve_cases(
             tag = f"{case}_{'dsm' if flag else 'nodsm'}"
             if dump_lp:
                 result.model.write_lp(out_dir / f"model_{tag}.lp")
-            money = ",,,"
             work = f"nodes={sol.nodes_explored} lp_iterations={sol.lp_iterations} ({seconds:.2f}s)"
-            if cost is None:
-                click.echo(f"{label} status={sol.status} {work}")
-                if sol.status == INFEASIBLE:
-                    for hint in diagnose_infeasibility(sc):
-                        click.echo(f"  hint: {hint}")
-            else:
+            money, fields = ",,,", ""
+            if schedule is not None:
                 exported = float(np.sum(schedule.grid_sell) * sc.grid.dt)
                 imported = float(np.sum(schedule.grid_buy) * sc.grid.dt)
-                click.echo(
-                    f"{label} status=optimal bill={cost.bill:.3f}c "
-                    f"penalty={cost.penalty:.6f}c objective={cost.objective:.3f}c "
-                    f"exported={exported:.3f}kWh {work}"
+                fields = (
+                    f" bill={cost.bill:.3f}c penalty={cost.penalty:.6f}c "
+                    f"objective={cost.objective:.3f}c exported={exported:.3f}kWh"
                 )
                 schedule_to_csv(schedule, sc, out_dir / f"schedule_{tag}.csv", origin_hour)
                 write_json(
@@ -99,6 +93,10 @@ def _solve_cases(
                     out_dir / f"costs_{tag}.json",
                 )
                 money = f"{cost.bill:.6f},{cost.penalty:.6f},{cost.objective:.6f},{exported:.6f}"
+            click.echo(f"{label} status={sol.status}{fields} {work}")
+            if sol.status == INFEASIBLE:
+                for hint in diagnose_infeasibility(sc):
+                    click.echo(f"  hint: {hint}")
             stats = {"case": case, "dsm": flag, "status": sol.status, "seconds": seconds}
             row = (
                 f"{case},{'on' if flag else 'off'},{sol.status},{money},"

@@ -15,11 +15,12 @@ the paper's model with every row and binary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import MILPModel, MILPSolution, MilpOptions, OPTIMAL, solve_milp
+from .milp import MILPModel, MILPSolution, MilpOptions, solve_milp
 from .scenario import Device, Scenario, StorageSpec, Tariff
 
 CLAMP_EPS = 1e-9  # extracted magnitudes below this are reported as zero
@@ -115,7 +116,7 @@ class CostBreakdown:
 @dataclass(eq=False)
 class ScenarioResult:
     """One solved household-day. `schedule` and `cost` are None unless the
-    solver status is optimal."""
+    solution holds a point: optimal, or an incumbent kept at a stop."""
 
     model: MILPModel
     solution: MILPSolution
@@ -411,8 +412,8 @@ def schedule_from_values(
 def extract_schedule(
     scenario: Scenario, varmap: VarMap, solution: MILPSolution
 ) -> Schedule:
-    """Decode an optimal solver assignment into physical quantities."""
-    if solution.status != OPTIMAL:
+    """Decode the point of a solution with a finite objective."""
+    if not math.isfinite(solution.objective):
         raise ValueError(f"cannot extract a schedule from a {solution.status} solution")
     return schedule_from_values(scenario, varmap, solution.values)
 
@@ -443,11 +444,11 @@ def solve_scenario(
     """Build, solve and decode a scenario: the one pipeline behind the CLI.
 
     Never raises on a solver outcome: the status is `result.solution.status`,
-    and the schedule and cost are decoded only when it is optimal.
+    and the schedule and cost are decoded whenever its objective is finite.
     """
     model, varmap = build_model(scenario)
     solution = solve_milp(model, options)
-    if solution.status != OPTIMAL:
+    if not math.isfinite(solution.objective):
         return ScenarioResult(model, solution, None, None)
     schedule = extract_schedule(scenario, varmap, solution)
     cost = compute_cost(schedule, scenario.tariff, scenario.penalties, scenario.grid.dt)

@@ -158,8 +158,7 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
             child = _Node(clo, chi, node.depth + 1)
             heapq.heappush(heap, (obj, -child.depth, next(seq), child))
 
-    if incumbent is not None:
-        return MILPSolution(stop or OPTIMAL, incumbent, best_obj, nodes_explored, lp_iterations)
-    if stop is not None:
-        return MILPSolution(stop, np.zeros(n), math.nan, nodes_explored, lp_iterations)
-    return MILPSolution(INFEASIBLE, np.zeros(n), math.nan, nodes_explored, lp_iterations)
+    if incumbent is None:
+        incumbent, best_obj = np.zeros(n), math.nan
+    status = stop or (INFEASIBLE if math.isnan(best_obj) else OPTIMAL)
+    return MILPSolution(status, incumbent, best_obj, nodes_explored, lp_iterations)
