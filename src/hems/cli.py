@@ -88,11 +88,15 @@ def _solve_cases(
                 write_json(
                     cost_to_mapping(
                         cost, exported, imported, sol.status, sol.nodes_explored,
-                        sol.lp_iterations, case=case, dsm=flag,
+                        sol.lp_iterations, case=case, dsm=flag, bound=sol.bound,
                     ),
                     out_dir / f"costs_{tag}.json",
                 )
                 money = f"{cost.bill:.6f},{cost.penalty:.6f},{cost.objective:.6f},{exported:.6f}"
+            if sol.status != OPTIMAL:
+                work += f" bound={sol.bound:.3f}"
+                if schedule is not None:
+                    work += f" gap={sol.objective - sol.bound:.3f}"
             click.echo(f"{label} status={sol.status}{fields} {work}")
             if sol.status == INFEASIBLE:
                 for hint in diagnose_infeasibility(sc):

@@ -38,8 +38,11 @@ class ScheduleCSVError(ValueError):
     """Raised for malformed schedule CSV files (message carries the line)."""
 
 
+_NEAR_MAX = 1.7976931345e308  # from here up, 10 digits round past the float maximum
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+    return repr(x) if abs(x) >= _NEAR_MAX else f"{x:.10g}"
 
 
 def _shift_column(name: str) -> str:
@@ -164,6 +167,7 @@ def cost_to_mapping(
     *,
     case: str,
     dsm: bool,
+    bound: float = math.nan,
 ) -> dict:
     return {
         "schema": COST_SCHEMA,
@@ -172,7 +176,9 @@ def cost_to_mapping(
         "objective_cents": cost.objective,
         "exported_kwh": exported_kwh,
         "imported_kwh": imported_kwh,
-        "solver": {"status": status, "nodes": nodes, "lp_iterations": lp_iterations},
+        "solver": {
+            "status": status, "nodes": nodes, "lp_iterations": lp_iterations, "bound": bound,
+        },
         "case": case,
         "dsm": dsm,
     }

@@ -109,6 +109,8 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
     heap: list[tuple[float, int, int, _Node]] = []
     heapq.heappush(heap, (-math.inf, 0, next(seq), _Node(lo, hi, 0)))
 
+    # At a stop, the key of the node the search stopped at is the smallest
+    # open bound: nodes leave the heap in bound order.
     stop = None   # ITERATION_LIMIT or NUMERICAL when the search ends early
     while heap:
         bound, _, _, node = heapq.heappop(heap)
@@ -124,7 +126,7 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
         if res.status == INFEASIBLE:
             continue
         if res.status == UNBOUNDED and node.depth == 0:
-            return MILPSolution(UNBOUNDED, res.x, -math.inf, nodes_explored, lp_iterations)
+            return MILPSolution(UNBOUNDED, res.x, -math.inf, nodes_explored, lp_iterations, -math.inf)
         if res.status != OPTIMAL:
             # Short of the LP budget, this is numerical trouble: the
             # simplex's own, or an unbounded child of a bounded parent.
@@ -160,5 +162,6 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
 
     if incumbent is None:
         incumbent, best_obj = np.zeros(n), math.nan
-    status = stop or (INFEASIBLE if math.isnan(best_obj) else OPTIMAL)
-    return MILPSolution(status, incumbent, best_obj, nodes_explored, lp_iterations)
+    if stop is None:  # the search finished: the incumbent is optimal, or none exists
+        stop, bound = (INFEASIBLE if math.isnan(best_obj) else OPTIMAL), best_obj
+    return MILPSolution(stop, incumbent, best_obj, nodes_explored, lp_iterations, bound)

@@ -50,9 +50,14 @@ class LinearConstraint:
 class MILPSolution:
     """Result of an LP or MILP solve.
 
-    `values` holds one entry per model variable. It is only meaningful when
-    `status` is "optimal", or "iteration_limit"/"numerical" with an
-    incumbent (then `objective` is finite).
+    `values` holds one entry per model variable. It is a feasible point
+    exactly when `objective` is finite: the optimum, or the incumbent kept
+    when a search stops at a limit or on numerical trouble.
+
+    `bound` is a proven lower bound on the optimum: the objective when
+    optimal, -inf when unbounded, nan when infeasible. A branch-and-bound
+    search that stops early reports the smallest bound of its open nodes
+    (-inf if the root LP never finished); an LP solve that stops, nan.
     """
 
     status: str
@@ -60,6 +65,7 @@ class MILPSolution:
     objective: float
     nodes_explored: int = 0
     lp_iterations: int = 0
+    bound: float = math.nan
 
 
 class MILPModel:

@@ -418,4 +418,5 @@ def solve_lp(model: MILPModel) -> MILPSolution:
         objective=res.objective,
         nodes_explored=0,
         lp_iterations=res.iterations,
+        bound=res.objective,
     )

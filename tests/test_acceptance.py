@@ -67,6 +67,7 @@ def test_c2_constraint_audit(hourly_sweep):
         report = audit(scenario, result.schedule)
         assert report.passed, (case, dsm, report.to_mapping())
         assert len(report.families) == 7
+        assert result.solution.bound == result.solution.objective, (case, dsm)
     _report("2 constraint-audit", "(8 runs x 7 families)")
 
 
@@ -216,6 +217,7 @@ def test_halfhour_reference_sweep(halfhour_reference):
             scenario = synth_case(case, dsm, halfhour_reference)
             result = solve_scenario(scenario)
             assert audit(scenario, result.schedule).passed, (case, dsm)
+            assert result.solution.bound == result.solution.objective, (case, dsm)
             bills[(case, dsm)] = result.cost.bill
     for case in "ABCD":
         assert bills[(case, True)] <= bills[(case, False)] + TOL

@@ -103,7 +103,21 @@ def test_binary_squeezed_between_rows_is_infeasible():
     m.add_constraint([(u, 1.0)], ">=", 0.4, "above")
     m.add_constraint([(u, 1.0)], "<=", 0.6, "below")
     m.set_objective([(u, 1.0)])
-    assert solve_milp(m).status == INFEASIBLE
+    r = solve_milp(m)
+    assert r.status == INFEASIBLE
+    assert math.isnan(r.objective) and math.isnan(r.bound)
+
+
+def test_unbounded_root_relaxation_is_unbounded():
+    m = MILPModel()
+    u = m.add_binary("u")
+    x = m.add_continuous("x", 0.0, math.inf)
+    m.add_constraint([(x, 1.0), (u, -1.0)], ">=", 0.0, "link")
+    m.set_objective([(x, -1.0)])
+    r = solve_milp(m)
+    assert r.status == UNBOUNDED
+    assert r.objective == -math.inf and r.bound == -math.inf
+    assert r.nodes_explored == 1
 
 
 def test_node_limit_returns_incumbent_status():
@@ -117,6 +131,7 @@ def test_node_limit_returns_incumbent_status():
         limited = solve_milp(model, MilpOptions(node_limit=2))
         if limited.status == ITERATION_LIMIT:
             hit = True
+            assert limited.bound <= full.objective + 1e-9
             if not math.isnan(limited.objective):
                 assert limited.objective >= full.objective - 1e-9
             break
@@ -131,7 +146,10 @@ def test_random_milps_match_brute_force():
         best, best_x = best_binary_fixing(model)
         r = solve_milp(model)
         assert r.status == (INFEASIBLE if best_x is None else OPTIMAL)
-        if best_x is not None:
+        if best_x is None:
+            assert math.isnan(r.bound)
+        else:
+            assert r.bound == r.objective
             n_checked += 1
             assert r.objective == pytest.approx(best, abs=1e-6 * (1 + abs(best)))
             assert max_violation(model, r.values) <= 1e-6
@@ -238,6 +256,8 @@ def test_failed_child_lp_returns_numerical_with_incumbent(monkeypatch, child_sta
     assert r.objective == pytest.approx(m.objective_vector() @ r.values, abs=1e-9)
     assert max_violation(m, r.values) <= 1e-9
     assert r.objective >= _knapsack_optimum() - 1e-9
+    # The search stopped at a child of the root, whose key is the root LP's bound.
+    assert r.bound == solve_lp(m).objective <= _knapsack_optimum()
 
 
 def test_failed_root_lp_returns_numerical_without_incumbent(monkeypatch):
@@ -248,6 +268,7 @@ def test_failed_root_lp_returns_numerical_without_incumbent(monkeypatch):
     r = solve_milp(_knapsack())
     assert r.status == NUMERICAL
     assert math.isnan(r.objective)
+    assert r.bound == -math.inf
     assert (r.nodes_explored, r.lp_iterations) == (1, 3)
 
 

@@ -36,6 +36,8 @@ def test_solve_case_a_dsm_both(runner, tmp_path):
     off = read_costs(out, "A_nodsm")
     on = read_costs(out, "A_dsm")
     assert on["bill_cents"] <= off["bill_cents"] + 1e-9
+    for costs in (off, on):
+        assert costs["solver"]["bound"] == pytest.approx(costs["objective_cents"], abs=1e-9)
     assert (out / "schedule_A_dsm.csv").exists()
 
 
@@ -104,8 +106,37 @@ def test_solve_node_limit_exits_nonzero(runner, tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "case=D dsm=on status=iteration_limit nodes=2 lp_iterations=" in result.output
+    assert " bound=" in result.output and "gap=" not in result.output
     assert "hint:" not in result.output
     assert not (out / "schedule_D_dsm.csv").exists()
+
+
+def test_solve_writes_the_incumbent_found_before_the_node_limit(runner, tmp_path):
+    """Case B finds its optimal plan in 2 nodes but cannot prove it there:
+    the run keeps status iteration_limit and exit 1, and writes the schedule,
+    the costs with the proven bound, and the summary money columns."""
+    out = tmp_path / "r"
+    args = [HOURLY, "--dsm", "on", "--node-limit", "2", "--out", str(out)]
+    result = runner.invoke(main, ["solve", *args, "--case", "B"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    line = next(l for l in result.output.splitlines() if l.startswith("case=B"))
+    assert line.startswith("case=B dsm=on status=iteration_limit bill=245.750c ")
+    assert line.endswith(" bound=244.252 gap=1.500")
+    costs = read_costs(out, "B_dsm")
+    assert costs["solver"]["status"] == "iteration_limit"
+    assert costs["solver"]["bound"] == pytest.approx(244.251775, abs=1e-9)
+    assert costs["objective_cents"] == pytest.approx(245.751775, abs=1e-9)
+
+    case_b = tmp_path / "case_b.yaml"
+    save_scenario(synth_case("B", True, load_scenario(HOURLY)), case_b)
+    result = runner.invoke(main, ["validate", str(case_b), str(out / "schedule_B_dsm.csv")])
+    assert result.exit_code == 0, result.output
+
+    result = runner.invoke(main, ["sweep", *args, "--cases", "B"])
+    assert result.exit_code == 1
+    row = (out / "summary.csv").read_text().splitlines()[2]
+    assert row.startswith("B,on,iteration_limit,245.750000,0.001775,245.751775,")
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
@@ -145,6 +176,8 @@ def test_solve_numerical_failure_exits_nonzero(runner, tmp_path, monkeypatch):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "case=A dsm=off status=numerical" in result.output
+    assert result.output.rstrip().endswith(" bound=-inf")
+    assert not (tmp_path / "r" / "schedule_A_nodsm.csv").exists()
 
 
 def test_solve_dump_lp_writes_the_solved_model(runner, tmp_path):
@@ -206,6 +239,12 @@ def _raw(data: bytes):
         (_set(("grid", "interval_hours"), math.inf), "grid.interval_hours"),
         (_intervals(-5), "grid.intervals"),
         (_intervals(10**12), "grid.intervals"),
+        (_set(("pv_gen",), "sunny"), "pv_gen: expected array, scalar or csv reference"),
+        (_set(("non_deferrable",), {"csv": "load.csv"}),
+         "non_deferrable: csv reference needs exactly csv+column keys"),
+        (_set(("grid",), 5), "grid: expected a mapping"),
+        (_raw(b"- 1\n- 2\n"), "document: expected a mapping"),
+        (_set(("ess", "soe_init"), None), "ess.soe_init: required"),
     ],
     ids=["missing-key", "charge-rate", "adt-hours", "import-cap", "profile-entry",
          "fractional-intervals", "fractional-arrival", "boolean-charge-rate",
@@ -213,7 +252,9 @@ def _raw(data: bytes):
          "quoted-full-at-departure", "undecodable-scenario", "infinite-adt-hours",
          "nan-adt-hours", "nan-charge-rate", "infinite-charge-rate", "nan-ev-discharge-rate",
          "infinite-ev-capacity", "infinite-ev-penalty", "infinite-interval-hours",
-         "negative-intervals", "huge-intervals"],
+         "negative-intervals", "huge-intervals", "series-of-another-type",
+         "malformed-csv-reference", "block-not-a-mapping", "document-not-a-mapping",
+         "null-soe-init"],
 )
 def test_solve_rejects_bad_scenario(runner, tmp_path, edit, field):
     import yaml
@@ -231,8 +272,14 @@ def test_solve_rejects_bad_scenario(runner, tmp_path, edit, field):
 
 @pytest.mark.parametrize(
     "content, message",
-    [(None, "No such file"), (b"load\n1.0\n\xff\n", "not UTF-8")],
-    ids=["missing", "undecodable"],
+    [
+        (None, "No such file"),
+        (b"load\n1.0\n\xff\n", "not UTF-8"),
+        (b"", "empty CSV"),
+        (b"load,price\n1.0\n", "line 2: missing value for 'price'"),
+        (b"price\n1.0\n", "column 'load' not in"),
+    ],
+    ids=["missing", "undecodable", "empty", "missing-cell", "missing-column"],
 )
 def test_solve_names_field_and_path_of_bad_series_csv(runner, tmp_path, content, message):
     import yaml
@@ -339,6 +386,14 @@ def test_sweep_rejects_empty_case_list(runner, tmp_path):
     result = runner.invoke(main, ["sweep", HOURLY, "--cases", ",", "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "--cases names no case" in result.output
+    assert not out.exists()
+
+
+def test_sweep_rejects_unknown_case(runner, tmp_path):
+    out = tmp_path / "s"
+    result = runner.invoke(main, ["sweep", HOURLY, "--cases", "A,X", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "unknown case(s) ['X']" in result.output
     assert not out.exists()
 
 
@@ -463,6 +518,30 @@ def test_schedule_csv_rejects_unrepresentable_destination(tmp_path, hourly_sweep
     from hems.io import ScheduleCSVError
 
     with pytest.raises(ScheduleCSVError, match="line 5: bad destination"):
+        schedule_from_csv(path, scenario)
+
+
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        (1, lambda text: "# schema: x", "line 1: expected '# schema: hems-schedule/1'"),
+        (2, lambda text: text.replace("grid_buy_kw", "grid_buy"), "line 2: header mismatch"),
+        (5, lambda text: text + ",0", "line 5: expected 21 fields, got 22"),
+        (5, lambda text: "x" + text[1:], "line 5: bad interval 'x'"),
+        (5, lambda text: "7" + text[1:], "line 5: expected interval 2, got 7"),
+    ],
+    ids=["schema", "header", "field-count", "non-integer-interval", "interval-out-of-order"],
+)
+def test_schedule_csv_structure_errors_name_their_line(tmp_path, hourly_sweep, line, edit, message):
+    scenario, result = hourly_sweep[("A", True)]
+    path = tmp_path / "a.csv"
+    schedule_to_csv(result.schedule, scenario, path)
+    lines = path.read_text().splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n")
+    from hems.io import ScheduleCSVError
+
+    with pytest.raises(ScheduleCSVError, match=re.escape(message)):
         schedule_from_csv(path, scenario)
 
 

@@ -31,6 +31,8 @@ def test_add_variable_rejects_nan_and_bad_binary_bounds():
         m.add_variable("binary", -0.5, 1.0, "u")
     with pytest.raises(ModelError, match="infinity"):
         m.add_variable("continuous", math.inf, math.inf, "x")
+    with pytest.raises(ModelError, match="unknown variable kind 'integer'"):
+        m.add_variable("integer", 0.0, 1.0, "k")
 
 
 def test_constraint_validation():
@@ -46,6 +48,8 @@ def test_constraint_validation():
         m.add_constraint([], "<=", 1.0)
     with pytest.raises(ModelError, match="sense"):
         m.add_constraint([(x, 1.0)], "<", 1.0)
+    with pytest.raises(ModelError, match="non-finite rhs"):
+        m.add_constraint([(x, 1.0)], "<=", math.nan)
 
 
 def test_violation_checker():

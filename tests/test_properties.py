@@ -2,6 +2,7 @@
 suite stays deterministic)."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,10 +16,16 @@ from hems.scenario import MAX_INTERVALS, synth_case
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=50)
 
-# Any finite float whose 10-significant-digit form is finite too: values within
-# about 1e-10 of the float maximum round up past it and are written as a number
-# that reads back as infinite.
-FINITE = st.floats(min_value=-1e300, max_value=1e300)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # up to +-sys.float_info.max
+# From here up, 10 significant digits round past the float maximum, so the
+# writer keeps every digit there.
+NEAR_MAX = 1.7976931345e308
+MAX = sys.float_info.max
+
+
+def as_written(x: float) -> float:
+    """What a cell holding `x` reads back as."""
+    return x if abs(x) >= NEAR_MAX else float(f"{x:.10g}")
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +68,23 @@ def test_schedule_csv_round_trip_to_ten_digits(csv_path, case_scenarios, data, c
     schedule = data.draw(schedules(scenario))
     schedule_to_csv(schedule, scenario, csv_path)
     again = schedule_from_csv(csv_path, scenario)
-    expected = np.vectorize(lambda x: float(f"{x:.10g}"))(rows(schedule))
+    expected = np.vectorize(as_written)(rows(schedule))
     assert np.array_equal(rows(again), expected)
     assert (again.ev is None) == (scenario.ev is None)
     assert again.shifts.dtype == np.int16
     assert np.array_equal(again.shifts, schedule.shifts)
+
+
+@pytest.mark.parametrize("value", [MAX, -MAX, NEAR_MAX, -NEAR_MAX],
+                         ids=["max", "-max", "near-max", "-near-max"])
+def test_schedule_csv_reads_back_values_at_the_float_maximum(csv_path, case_scenarios, value):
+    scenario = case_scenarios["D"]
+    T = scenario.grid.T
+    series = np.full((5, T), value)
+    shifts = np.full((len(scenario.appliances), T), -1, dtype=np.int16)
+    schedule = Schedule(*series, DeviceSchedule(*series), DeviceSchedule(*series), shifts=shifts)
+    schedule_to_csv(schedule, scenario, csv_path)
+    assert np.array_equal(rows(schedule_from_csv(csv_path, scenario)), rows(schedule))
 
 
 @PROPERTY_SETTINGS

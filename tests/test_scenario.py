@@ -254,6 +254,16 @@ def test_explicit_limits_reach_every_case(hourly_reference):
         ({"ev": EVSpec(StorageSpec(1.0, 1.0, 1.0, 1.0, 0.0, math.inf, 2.0), 0, 1)}, "ev.soe_max"),
         ({"penalties": (1e-4, 2e-4, math.inf)}, "penalties.ev_sold"),
         ({"grid": TimeGrid(32768, 1.0)}, "grid.intervals"),
+        ({"ess": StorageSpec(0.0, 1.0, 1.0, 1.0, 0.0, 4.0, 2.0)}, "ess: charge/discharge rates"),
+        ({"ev": EVSpec(StorageSpec(1.0, -1.0, 1.0, 1.0, 0.0, 4.0, 2.0), 0, 1)},
+         "ev: charge/discharge rates"),
+        ({"ess": StorageSpec(1.0, 1.0, 1.5, 1.0, 0.0, 4.0, 2.0)}, "ess.charge_eff"),
+        ({"ev": EVSpec(StorageSpec(1.0, 1.0, 1.0, 0.0, 0.0, 4.0, 2.0), 0, 1)}, "ev.discharge_eff"),
+        ({"grid": TimeGrid(2, 0.0)}, "grid.interval_hours: must be positive"),
+        ({"appliances": (ApplianceSpec("", (1.0, 0.0), 1.0),)}, "every appliance needs a name"),
+        ({"appliances": (ApplianceSpec("wash", (1.0, 0.0), 1.0),) * 2}, "duplicate name 'wash'"),
+        ({"appliances": (ApplianceSpec("wash", (1.0, 0.0), -1.0),)}, "wash.adt_hours: negative"),
+        ({"pv_gen": (0.0, math.nan)}, "pv_gen[1]: non-finite"),
     ],
 )
 def test_scenario_validates_on_construction(change, field):

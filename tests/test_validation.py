@@ -53,6 +53,15 @@ def test_audit_flags_early_shift():
     assert fam.worst_appliance == "dw"
 
 
+@pytest.mark.parametrize("shape", [(3, 24), (4, 23)])
+def test_audit_rejects_shifts_of_the_wrong_shape(hourly_sweep, shape):
+    scenario, result = hourly_sweep[("A", True)]
+    schedule = clone_schedule(result.schedule)
+    schedule.shifts = np.full(shape, -1, dtype=np.int16)
+    with pytest.raises(ValueError, match=r"shifts shape .* does not match 4 appliances x 24"):
+        audit(scenario, schedule)
+
+
 def test_audit_report_serializes(hourly_sweep):
     scenario, result = hourly_sweep[("D", True)]
     report = audit(scenario, result.schedule)

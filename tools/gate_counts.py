@@ -14,7 +14,9 @@ The gate set is three sets of runs:
 - `fallback`: the mode-binary fallback cases of `tests/test_mode_binaries.py`
   on the hourly reference, cases C and D, DSM off and on, for each of three
   variants: `sell[12] = buy[12]` (`tied`), a lossless ESS (`lossless`) and
-  the export cap at peak PV (`exportcap`).
+  the export cap at peak PV (`exportcap`); then the half-hour reference with
+  its export cap at peak PV, 4 kW (`halfhour-exportcap`), whose DSM-on
+  trees are the largest of the set.
 
 Each line holds the set, the run, the status, the B&B nodes, the LP
 iterations and `objective.hex()`, then the audit verdict of the schedule
@@ -67,6 +69,8 @@ def runs():
         "lossless": replace(base, ess=replace(base.ess, charge_eff=1.0, discharge_eff=1.0)),
         "exportcap": replace(base, big_m=(None, max(base.pv_gen))),
     }
+    half = load_scenario(ROOT / "scenarios" / FILES["halfhour"])
+    variants["halfhour-exportcap"] = replace(half, big_m=(None, max(half.pv_gen)))
     for variant, sc in variants.items():
         for case in "CD":
             for dsm in (False, True):
