@@ -27,33 +27,22 @@ CLAMP_EPS = 1e-9  # extracted magnitudes below this are reported as zero
 
 
 @dataclass(frozen=True)
-class StorageVars:
-    """Variable ids of one storage device, keyed by interval."""
-
-    window: tuple[int, int]          # inclusive presence range
-    charge: dict[int, int]
-    discharge: dict[int, int]
-    used: dict[int, int]
-    sold: dict[int, int]
-    soe: dict[int, int]
-    mode: dict[int, int]             # 1 = charging side active; see mode_needed
-
-
-@dataclass(frozen=True)
 class VarMap:
-    """Variable ids of a built model. Eliminated variables have no id:
-    `pv_used` is None and `grid_sell` lacks the intervals whose export sum
-    was substituted out; `schedule_from_values` derives them."""
+    """Variable ids of a built model as two integer tables; -1 marks "no
+    variable".
 
-    grid_buy: tuple[int, ...]
-    grid_sell: dict[int, int]        # interval -> id where the export sum keeps its row
-    grid_mode: dict[int, int]        # 1 = buying side active; see mode_needed
-    pv_used: tuple[int, ...] | None  # None: pv_used = pv_gen - pv_sold
-    pv_sold: tuple[int, ...]
-    ess: StorageVars | None
-    ev: StorageVars | None
-    # appliance index -> source interval -> ((destination, var id), ...)
-    shift: dict[int, dict[int, tuple[tuple[int, int], ...]]]
+    Row r of `ids` is row r of the decoded table: the five rows of
+    `Schedule.series`, then charge, discharge, used, sold and soe of each
+    device of `Scenario.storage`. served_load, a device outside its window and
+    the substituted pv_used and grid_sell have no id; `schedule_from_values`
+    derives them. `shift[a, src]` is the id of the first delay choice of
+    appliance a's block at src: choice k is that id + k and lands at src + k,
+    in `shift_destinations` order. Mode binaries are not mapped; the model
+    names them `u_grid_<t>` and `u_<device>_<t>`.
+    """
+
+    ids: np.ndarray    # (5 + 5 * len(storage), T)
+    shift: np.ndarray  # (len(appliances), T)
 
 
 def _row(i: int) -> property:
@@ -190,16 +179,14 @@ def _add_mode(model: MILPModel, label: str, t: int, on: tuple, off: tuple) -> in
 
 
 def _add_storage_block(
-    model: MILPModel, dev: Device, dt: float, keep_mode: list[bool]
-) -> StorageVars:
+    model: MILPModel, dev: Device, T: int, dt: float, keep_mode: list[bool]
+) -> list[list[int]]:
+    """One device's variables and rows; returns its charge, discharge, used,
+    sold and soe ids per interval, -1 outside its window."""
     label, spec = dev.name, dev.spec
     lo_t, hi_t = dev.window
-    charge: dict[int, int] = {}
-    discharge: dict[int, int] = {}
-    used: dict[int, int] = {}
-    sold: dict[int, int] = {}
-    soe: dict[int, int] = {}
-    mode: dict[int, int] = {}
+    rows = [[-1] * T for _ in range(5)]
+    charge, discharge, used, sold, soe = rows
     deliver_cap = spec.discharge_rate * spec.discharge_eff
     for t in range(lo_t, hi_t + 1):
         charge[t] = model.add_continuous(f"{label}_charge_{t}", 0.0, spec.charge_rate)
@@ -216,7 +203,7 @@ def _add_storage_block(
             f"{label}_split_{t}",
         )
         if keep_mode[t]:
-            mode[t] = _add_mode(
+            _add_mode(
                 model, label, t,
                 ("charge", charge[t], spec.charge_rate),
                 ("discharge", discharge[t], spec.discharge_rate),
@@ -229,7 +216,7 @@ def _add_storage_block(
         else:
             terms.append((soe[t - 1], -1.0))
             model.add_constraint(terms, "=", 0.0, f"{label}_soe_{t}")
-    return StorageVars((lo_t, hi_t), charge, discharge, used, sold, soe, mode)
+    return rows
 
 
 def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
@@ -248,26 +235,25 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
     if full:
         keep = dict.fromkeys(keep, [True] * T)
 
-    grid_buy = tuple(model.add_continuous(f"grid_buy_{t}", 0.0, n1) for t in range(T))
-    grid_sell = {
-        t: model.add_continuous(f"grid_sell_{t}", 0.0, n2) for t in range(T) if keep["export"][t]
-    }
-    grid_mode = {
-        t: _add_mode(model, "grid", t, ("buy", grid_buy[t], n1), ("sell", grid_sell[t], n2))
+    grid_buy = [model.add_continuous(f"grid_buy_{t}", 0.0, n1) for t in range(T)]
+    grid_sell = [
+        model.add_continuous(f"grid_sell_{t}", 0.0, n2) if keep["export"][t] else -1
         for t in range(T)
-        if keep["grid"][t]
-    }
-    pv_used = None
-    if full:
-        pv_used = tuple(model.add_continuous(f"pv_used_{t}", 0.0, pv_gen[t]) for t in range(T))
-    pv_sold = tuple(model.add_continuous(f"pv_sold_{t}", 0.0, pv_gen[t]) for t in range(T))
+    ]
+    for t in range(T):
+        if keep["grid"][t]:
+            _add_mode(model, "grid", t, ("buy", grid_buy[t], n1), ("sell", grid_sell[t], n2))
+    pv_used = [
+        model.add_continuous(f"pv_used_{t}", 0.0, pv_gen[t]) if full else -1 for t in range(T)
+    ]
+    pv_sold = [model.add_continuous(f"pv_sold_{t}", 0.0, pv_gen[t]) for t in range(T)]
 
-    storage = [(dev, _add_storage_block(model, dev, dt, keep[dev.name])) for dev in sc.storage]
+    storage = [(dev, _add_storage_block(model, dev, T, dt, keep[dev.name])) for dev in sc.storage]
 
     # Delay-choice binaries: one per admissible (appliance, source,
-    # destination) pair; sources with zero scheduled load or zero delay
-    # allowance need no variables.
-    shift: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
+    # destination) pair, added in destination order; sources with zero
+    # scheduled load or zero delay allowance need no variables.
+    shift = [[-1] * T for _ in sc.appliances]
     fixed_load = sc.non_deferrable.tolist()
     incoming: list[list[tuple[int, float]]] = [[] for _ in range(T)]
     for ai, app in enumerate(sc.appliances):
@@ -277,34 +263,29 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
             for t in range(T):
                 fixed_load[t] += profile[t]
             continue
-        per_src: dict[int, tuple[tuple[int, int], ...]] = {}
         for src in range(T):
             if profile[src] <= 0.0:
                 continue
             choices = []
             for dst in shift_destinations(T, src, adt):
                 vid = model.add_binary(f"shift_{app.name}_{src}_{dst}")
-                choices.append((dst, vid))
+                choices.append((vid, 1.0))
                 incoming[dst].append((vid, profile[src]))
-            per_src[src] = tuple(choices)
-            model.add_constraint(
-                [(vid, 1.0) for _, vid in choices],
-                "=",
-                1.0,
-                f"shift_assign_{app.name}_{src}",
-            )
-        shift[ai] = per_src
+            shift[ai][src] = choices[0][0]
+            model.add_constraint(choices, "=", 1.0, f"shift_assign_{app.name}_{src}")
 
     obj: list[tuple[int, float]] = []
     for t in range(T):
-        present = [(dev, v) for dev, v in storage if dev.window[0] <= t <= dev.window[1]]
+        # (penalty, charge, used, sold) of each device present at t.
+        present = [(dev.penalty, rows[0][t], rows[2][t], rows[3][t])
+                   for dev, rows in storage if rows[0][t] >= 0]
         # Home power balance: supply meets served load plus device charging.
         if full:
             terms, rhs = [(grid_buy[t], 1.0), (pv_used[t], 1.0)], fixed_load[t]
         else:
             terms, rhs = [(grid_buy[t], 1.0), (pv_sold[t], -1.0)], fixed_load[t] - pv_gen[t]
-        for _, v in present:
-            terms += [(v.used[t], 1.0), (v.charge[t], -1.0)]
+        for _, charge, used, _ in present:
+            terms += [(used, 1.0), (charge, -1.0)]
         terms += [(vid, -load) for vid, load in incoming[t]]
         model.add_constraint(terms, "=", rhs, f"balance_{t}")
 
@@ -318,9 +299,9 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
         # price moves onto each source.
         sale = 0.0
         obj.append((grid_buy[t], buy[t] * dt))
-        if t in grid_sell:
+        if grid_sell[t] >= 0:
             terms = [(grid_sell[t], 1.0), (pv_sold[t], -1.0)]
-            terms += [(v.sold[t], -1.0) for _, v in present]
+            terms += [(sold, -1.0) for *_, sold in present]
             model.add_constraint(terms, "=", 0.0, f"export_sum_{t}")
             obj.append((grid_sell[t], -sell[t] * dt))
         else:
@@ -328,26 +309,19 @@ def build_model(sc: Scenario, full: bool = False) -> tuple[MILPModel, VarMap]:
 
         # Objective: energy bill plus the export-priority penalties.
         obj.append((pv_sold[t], sc.penalties[0] * dt + sale))
-        obj += [(v.sold[t], dev.penalty * dt + sale) for dev, v in present]
+        obj += [(sold, penalty * dt + sale) for penalty, _, _, sold in present]
     model.set_objective(obj)
 
     # Rows on each device's last state of energy.
-    for dev, v in storage:
+    for dev, rows in storage:
         if dev.end is not None:
             tag, sense, kwh = dev.end
-            model.add_constraint([(v.soe[dev.window[1]], 1.0)], sense, kwh, tag)
+            model.add_constraint([(rows[4][dev.window[1]], 1.0)], sense, kwh, tag)
 
-    blocks = {dev.name: v for dev, v in storage}
-    return model, VarMap(
-        grid_buy=grid_buy,
-        grid_sell=grid_sell,
-        grid_mode=grid_mode,
-        pv_used=pv_used,
-        pv_sold=pv_sold,
-        ess=blocks.get("ess"),
-        ev=blocks.get("ev"),
-        shift=shift,
-    )
+    ids = [grid_buy, grid_sell, pv_used, pv_sold, [-1] * T]
+    ids += [row for _, rows in storage for row in rows]
+    shift_ids = np.array(shift, dtype=np.intp).reshape(len(shift), T)
+    return model, VarMap(np.array(ids, dtype=np.intp), shift_ids)
 
 
 def _clamp(series: np.ndarray) -> None:
@@ -355,58 +329,50 @@ def _clamp(series: np.ndarray) -> None:
     series[np.abs(series) < CLAMP_EPS] = 0.0
 
 
-def _extract_device(vars_: StorageVars, values: np.ndarray, T: int) -> DeviceSchedule:
-    dev = DeviceSchedule.zeros(T)
-    lo, hi = vars_.window
-    quantities = (vars_.charge, vars_.discharge, vars_.used, vars_.sold, vars_.soe)
-    for row, ids in zip(dev.series, quantities):
-        row[lo:hi + 1] = values[list(ids.values())]
-    _clamp(dev.series)
-    return dev
-
-
 def schedule_from_values(
     scenario: Scenario, varmap: VarMap, values: np.ndarray
 ) -> Schedule:
     """Decode a raw variable assignment (feasible or not) into a Schedule.
 
-    Fractional delay-choice variables are decoded to the destination with the
-    largest weight (first on ties). Substituted-out quantities are derived:
-    pv_used = pv_gen - pv_sold and grid_sell = pv_sold + the devices' sold.
+    One gather reads every mapped quantity. Substituted-out quantities are
+    derived: pv_used = pv_gen - pv_sold and grid_sell = pv_sold + the
+    devices' sold. Fractional delay-choice variables are decoded to the
+    destination with the largest weight (first on ties).
     """
     sc = scenario
     T = sc.grid.T
+    ids = varmap.ids
+    table = np.where(ids >= 0, values[ids], 0.0)
+    household, devices = table[:5], table[5:]
+    _clamp(devices)
+    grid_sell = household[3].copy()
+    for sold in devices[3::5]:
+        grid_sell += sold
+    np.copyto(household[1], grid_sell, where=ids[1] < 0)
+    np.copyto(household[2], sc.pv_gen - household[3], where=ids[2] < 0)
 
     shifts = np.full((len(sc.appliances), T), -1, dtype=np.int16)
-    served = sc.non_deferrable.copy()
+    served = household[4]
+    served[:] = sc.non_deferrable
     for ai, app in enumerate(sc.appliances):
-        per_src = varmap.shift.get(ai)
-        if per_src is None:  # no delay allowance: every block stays put
+        adt = app.adt_intervals(sc.grid.dt)
+        if adt == 0:  # no delay allowance: every block stays put
             loaded = app.profile > 0.0
             shifts[ai, loaded] = np.flatnonzero(loaded)
             served += app.profile
             continue
         profile = app.profile.tolist()
-        for src, choices in per_src.items():
-            dst = max(choices, key=lambda c: values[c[1]])[0]
-            shifts[ai, src] = dst
-            served[dst] += profile[src]
+        for src, first in enumerate(varmap.shift[ai].tolist()):
+            if first >= 0:
+                run = values[first:first + len(shift_destinations(T, src, adt))].tolist()
+                dst = src + run.index(max(run))  # the first of the largest
+                shifts[ai, src] = dst
+                served[dst] += profile[src]
+    _clamp(household)
 
-    ess = _extract_device(varmap.ess, values, T) if varmap.ess else None
-    ev = _extract_device(varmap.ev, values, T) if varmap.ev else None
-    grid_buy, pv_sold = values[[*varmap.grid_buy, *varmap.pv_sold]].reshape(2, T)
-    if varmap.pv_used is None:
-        pv_used = sc.pv_gen - pv_sold
-    else:
-        pv_used = values[list(varmap.pv_used)]
-    grid_sell = pv_sold.copy()
-    for dev in (ess, ev):
-        if dev is not None:
-            grid_sell += dev.sold
-    grid_sell[list(varmap.grid_sell)] = values[list(varmap.grid_sell.values())]
-    schedule = Schedule(grid_buy, grid_sell, pv_used, pv_sold, served, ess, ev, shifts)
-    _clamp(schedule.series)
-    return schedule
+    by_name = {dev.name: DeviceSchedule(*rows)
+               for dev, rows in zip(sc.storage, devices.reshape(-1, 5, T))}
+    return Schedule(*household, by_name.get("ess"), by_name.get("ev"), shifts)
 
 
 def extract_schedule(

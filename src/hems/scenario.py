@@ -133,7 +133,7 @@ class Scenario(_HoldsSeries):
     non_deferrable: np.ndarray                 # kW per interval
     appliances: tuple[ApplianceSpec, ...]
     ess: StorageSpec | None
-    ess_end_reserve: bool                      # require end SOE >= soe_init
+    ess_end_reserve: bool                      # require end SOE >= soe_init; True without an ESS
     ev: EVSpec | None
     pv_gen: np.ndarray                         # kW per interval
     penalties: tuple[float, float, float]      # export penalties (pv, ess, ev)
@@ -143,6 +143,8 @@ class Scenario(_HoldsSeries):
     def __post_init__(self) -> None:
         object.__setattr__(self, "non_deferrable", _series("non_deferrable", self.non_deferrable))
         object.__setattr__(self, "pv_gen", _series("pv_gen", self.pv_gen))
+        if self.ess is None:  # the document has no ess block to say otherwise
+            object.__setattr__(self, "ess_end_reserve", True)
         validate(self)
         auto = default_big_m(self.non_deferrable, self.appliances, self.ess, self.ev, self.pv_gen)
         caps = tuple(a if given is None else given for given, a in zip(self.big_m, auto))

@@ -185,9 +185,6 @@ def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
             if dst < T:
                 served[dst] += load
                 served_deferrable += load * dt
-            # Shifted-out load cannot exceed the scheduled block.
-            shifted_out = load if dst != src else 0.0
-            shf.le(shifted_out, load, src, app.name)
     for t in range(T):
         shf.eq(served[t], served_load[t], t)
     shf.eq(served_deferrable, scheduled_deferrable, None)

@@ -27,7 +27,14 @@ import math
 
 import numpy as np
 
-from hems.formulation import Schedule, VarMap, build_model, schedule_from_values
+from hems.formulation import (
+    DeviceSchedule,
+    Schedule,
+    VarMap,
+    build_model,
+    schedule_from_values,
+    shift_destinations,
+)
 from hems.milp import INFEASIBLE, MILPModel, OPTIMAL, UNBOUNDED
 from hems.milp.simplex import CompiledLP, solve_compiled
 from hems.scenario import Scenario
@@ -171,32 +178,29 @@ def schedule_to_values(
     substituted out pv_used and some grid_sell and is refused.
     """
     T = scenario.grid.T
-    if varmap.pv_used is None or len(varmap.grid_sell) != T:
+    ids = varmap.ids
+    if (ids[:4] < 0).any():
         raise ValueError("schedule_to_values needs the full model (build_model(full=True))")
     values = np.zeros(model.num_variables)
 
-    grid_sell = list(varmap.grid_sell.values())
-    for ids, row in zip(
-        (varmap.grid_buy, grid_sell, varmap.pv_used, varmap.pv_sold), schedule.series
-    ):
-        values[list(ids)] = row
-    for t, vid in varmap.grid_mode.items():
-        values[vid] = 1.0 if schedule.grid_buy[t] > 0.0 else 0.0
-    for vars_, dev in ((varmap.ess, schedule.ess), (varmap.ev, schedule.ev)):
-        if vars_ is None or dev is None:
-            continue
-        lo, hi = vars_.window
-        for ids, row in zip(
-            (vars_.charge, vars_.discharge, vars_.used, vars_.sold, vars_.soe), dev.series
-        ):
-            values[list(ids.values())] = row[lo:hi + 1]
-        for t, vid in vars_.mode.items():
-            values[vid] = 1.0 if dev.charge[t] > 0.0 else 0.0
-    for ai, per_src in varmap.shift.items():
-        for src, choices in per_src.items():
-            dst = schedule.shifts[ai, src]
-            for d, vid in choices:
-                values[vid] = 1.0 if d == dst else 0.0
+    devices = {dev.name: getattr(schedule, dev.name) or DeviceSchedule.zeros(T)
+               for dev in scenario.storage}
+    table = np.vstack([schedule.series, *(dev.series for dev in devices.values())])
+    mapped = ids >= 0
+    values[ids[mapped]] = table[mapped]
+    # The mode binaries, found by name: u_grid_<t> and u_<device>_<t>.
+    flows = {"grid": schedule.grid_buy, **{name: dev.charge for name, dev in devices.items()}}
+    for v in model.variables:
+        if v.name.startswith("u_"):
+            label, t = v.name[2:].rsplit("_", 1)
+            values[v.id] = 1.0 if flows[label][int(t)] > 0.0 else 0.0
+    for app, firsts, dsts in zip(scenario.appliances, varmap.shift.tolist(), schedule.shifts):
+        adt = app.adt_intervals(scenario.grid.dt)
+        for src, first in enumerate(firsts):
+            if first >= 0:
+                k = int(dsts[src]) - src
+                if 0 <= k < len(shift_destinations(T, src, adt)):
+                    values[first + k] = 1.0
     return values
 
 

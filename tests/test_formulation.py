@@ -80,7 +80,7 @@ def small_ess(**over):
 def test_case_a_structure(hourly_reference):
     sc = synth_case("A", False, hourly_reference)
     model, varmap = build_model(sc, full=True)
-    assert not varmap.shift  # no delay-choice binaries at zero ADT
+    assert (varmap.shift < 0).all()  # no delay-choice binaries at zero ADT
     binaries = [model.variables[i].name for i in model.binary_ids()]
     assert len(binaries) == 24
     assert all(name.startswith("u_grid") for name in binaries)
@@ -89,9 +89,9 @@ def test_case_a_structure(hourly_reference):
     # sell < buy in every interval: the solved model drops the grid modes
     # (two rows each), the PV split and the export sum, leaving the balance.
     reduced, varmap = build_model(sc)
-    assert not reduced.binary_ids() and not varmap.grid_mode
+    assert not reduced.binary_ids()
     assert reduced.num_constraints == model.num_constraints - 4 * 24 == 24
-    assert varmap.pv_used is None and not varmap.grid_sell
+    assert (varmap.ids[1:3] < 0).all()  # no grid_sell or pv_used variable
     assert reduced.num_variables == model.num_variables - 3 * 24 == 2 * 24
 
 
@@ -109,11 +109,44 @@ def test_single_block_shift_variables():
     app = ApplianceSpec("dw", (0.0, 1.0, 0.0, 0.0, 0.0), adt_hours=2.0)
     sc = make_scenario(T=5, appliances=[app])
     model, varmap = build_model(sc)
-    choices = varmap.shift[0][1]
-    assert [dst for dst, _ in choices] == [1, 2, 3]
+    first = varmap.shift[0, 1]
+    assert varmap.shift.tolist() == [[-1, first, -1, -1, -1]]
+    names = [v.name for v in model.variables[first:first + 3]]
+    assert names == ["shift_dw_1_1", "shift_dw_1_2", "shift_dw_1_3"]
     rows = [c for c in model.constraints if c.tag.startswith("shift_assign")]
     assert len(rows) == 1
     assert rows[0].sense == "=" and rows[0].rhs == 1.0
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["solved", "full"])
+@pytest.mark.parametrize("case", "ABCD")
+def test_varmap_names_every_continuous_variable_once(hourly_reference, case, full):
+    """Row r of `ids` holds the variables of row r of the decoded table, and a
+    shift entry starts its block's run of delay choices in destination order."""
+    sc = synth_case(case, True, hourly_reference)
+    model, varmap = build_model(sc, full=full)
+    T = sc.grid.T
+    rows = ["grid_buy", "grid_sell", "pv_used", "pv_sold", "served_load"]
+    rows += [f"{dev.name}_{q}" for dev in sc.storage
+             for q in ("charge", "discharge", "used", "sold", "soe")]
+    assert varmap.ids.shape == (len(rows), T)
+    named = {vid: f"{row}_{t}" for row, vids in zip(rows, varmap.ids.tolist())
+             for t, vid in enumerate(vids) if vid >= 0}
+    assert sorted(named) == [v.id for v in model.variables if v.kind == "continuous"]
+    assert all(model.variables[vid].name == name for vid, name in named.items())
+    assert (varmap.ids[4] < 0).all()  # served_load is derived
+    assert (varmap.ids[2] >= 0).all() == full  # pv_used
+
+    assert varmap.shift.shape == (len(sc.appliances), T)
+    choices = {}
+    for app, firsts in zip(sc.appliances, varmap.shift.tolist()):
+        adt = app.adt_intervals(sc.grid.dt)
+        for src, first in enumerate(firsts):
+            if first >= 0:
+                for k, dst in enumerate(shift_destinations(T, src, adt)):
+                    choices[first + k] = f"shift_{app.name}_{src}_{dst}"
+    assert sorted(choices) == [v.id for v in model.variables if v.name.startswith("shift_")]
+    assert all(model.variables[vid].name == name for vid, name in choices.items())
 
 
 def test_destination_sets_clamped_to_horizon():
@@ -146,7 +179,8 @@ def test_ev_variables_only_inside_window():
     ev = EVSpec(small_ess(soe_init=3.2), arrival=1, departure=2, require_full_at_departure=False)
     sc = make_scenario(T=4, ev=ev)
     model, varmap = build_model(sc)
-    assert set(varmap.ev.charge.keys()) == {1, 2}
+    assert varmap.ids.shape == (10, 4)  # the household's rows, then the EV's
+    assert (varmap.ids[5:, [0, 3]] < 0).all() and (varmap.ids[5:, 1:3] >= 0).all()
     names = [v.name for v in model.variables]
     assert not any(name == "ev_charge_0" or name == "ev_charge_3" for name in names)
 
@@ -179,13 +213,27 @@ def test_shift_decode_lands_block():
     sc = make_scenario(T=6, appliances=[app])
     model, varmap = build_model(sc)
     values = np.zeros(model.num_variables)
-    for (dst, vid) in varmap.shift[0][3]:
-        values[vid] = 1.0 if dst == 5 else 0.0
+    values[varmap.shift[0, 3] + 2] = 1.0  # choice k lands at 3 + k
     schedule = schedule_from_values(sc, varmap, values)
     assert schedule.shifts[0, 3] == 5
     assert schedule.shifts.dtype == np.int16
     assert schedule.served_load[5] == pytest.approx(1.0 + 1.2)
     assert schedule.served_load[3] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("weights, dst", [((0.5, 0.5), 3), ((0.2, 0.3, 0.5), 5)])
+def test_fractional_block_lands_at_largest_weight_first_on_ties(weights, dst):
+    """A fractional block decodes to its largest choice, the earliest of a tie."""
+    app = ApplianceSpec("dw", (0.0, 0.0, 0.0, 1.2, 0.0, 0.0), adt_hours=len(weights) - 1.0)
+    sc = make_scenario(T=6, appliances=[app])
+    model, varmap = build_model(sc)
+    values = np.zeros(model.num_variables)
+    ids = {v.name: v.id for v in model.variables}
+    for k, w in enumerate(weights):
+        values[ids[f"shift_dw_3_{3 + k}"]] = w
+    schedule = schedule_from_values(sc, varmap, values)
+    assert schedule.shifts[0].tolist() == [-1, -1, -1, dst, -1, -1]
+    assert schedule.served_load[dst] == pytest.approx(1.0 + 1.2)
 
 
 def test_identity_shift_preserves_profile():
@@ -196,9 +244,9 @@ def test_identity_shift_preserves_profile():
     sc = make_scenario(T=3, appliances=apps)
     model, varmap = build_model(sc)
     values = np.zeros(model.num_variables)
-    for src, choices in varmap.shift[0].items():
-        for dst, vid in choices:
-            values[vid] = 1.0 if dst == src else 0.0
+    for first in varmap.shift[0]:
+        if first >= 0:
+            values[first] = 1.0  # choice 0 lands at the source
     schedule = schedule_from_values(sc, varmap, values)
     expected = np.array(sc.non_deferrable) + np.array([0.5, 0.3, 0.7])
     assert np.allclose(schedule.served_load, expected)
@@ -215,8 +263,8 @@ def test_tiny_values_clamped():
     sc = make_scenario(T=2)
     model, varmap = build_model(sc)
     values = np.zeros(model.num_variables)
-    values[varmap.grid_buy[0]] = 3e-10
-    values[varmap.grid_buy[1]] = 1.0
+    values[varmap.ids[0, 0]] = 3e-10  # grid_buy
+    values[varmap.ids[0, 1]] = 1.0
     schedule = schedule_from_values(sc, varmap, values)
     assert schedule.grid_buy[0] == 0.0
     assert schedule.grid_buy[1] == 1.0

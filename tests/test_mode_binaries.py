@@ -22,6 +22,17 @@ from scenario_gen import perturbed_household
 from test_formulation import make_scenario
 
 
+def mode_intervals(model, label):
+    """The intervals of the mode binaries `u_<label>_<t>`, in model order."""
+    prefix = f"u_{label}_"
+    return [int(v.name[len(prefix):]) for v in model.variables if v.name.startswith(prefix)]
+
+
+def export_intervals(varmap):
+    """The intervals where grid_sell keeps its variable."""
+    return np.flatnonzero(varmap.ids[1] >= 0).tolist()
+
+
 def assert_matches_full_model(sc):
     result = solve_scenario(sc)
     assert result.solution.status == OPTIMAL
@@ -54,11 +65,11 @@ def test_tied_prices_keep_one_grid_binary(hourly_reference):
     for case in "CD":
         for dsm in (False, True):
             sc = synth_case(case, dsm, base)
-            _, varmap = build_model(sc)
-            assert list(varmap.grid_mode) == [t]
-            assert list(varmap.grid_sell) == [t]  # the grid binary needs grid_sell
-            assert list(varmap.ess.mode) == [t]
-            assert not (varmap.ev and varmap.ev.mode)
+            model, varmap = build_model(sc)
+            assert mode_intervals(model, "grid") == [t]
+            assert export_intervals(varmap) == [t]  # the grid binary needs grid_sell
+            assert mode_intervals(model, "ess") == [t]
+            assert not mode_intervals(model, "ev")
             assert_matches_full_model(sc)
 
 
@@ -69,10 +80,10 @@ def test_lossless_ess_keeps_every_ess_binary(hourly_reference):
     for case in "CD":
         for dsm in (False, True):
             sc = synth_case(case, dsm, base)
-            _, varmap = build_model(sc)
-            assert not varmap.grid_mode
-            assert list(varmap.ess.mode) == list(range(sc.grid.T))
-            assert not (varmap.ev and varmap.ev.mode)
+            model, _ = build_model(sc)
+            assert not mode_intervals(model, "grid")
+            assert mode_intervals(model, "ess") == list(range(sc.grid.T))
+            assert not mode_intervals(model, "ev")
             assert_matches_full_model(sc)
 
 
@@ -93,11 +104,11 @@ def test_tight_export_cap_keeps_storage_binaries(hourly_reference):
                     room[t] += sc.ev.storage.discharge_rate * sc.ev.storage.discharge_eff
             expected = [t for t in range(sc.grid.T) if room[t] > max(sc.pv_gen)]
             model, varmap = build_model(sc)
-            assert not varmap.grid_mode
-            assert len(expected) == count and list(varmap.ess.mode) == expected
+            assert not mode_intervals(model, "grid")
+            assert len(expected) == count and mode_intervals(model, "ess") == expected
             exports = [int(c.tag[len("export_sum_"):]) for c in model.constraints
                        if c.tag.startswith("export_sum_")]
-            assert exports == list(varmap.grid_sell) == expected
+            assert exports == export_intervals(varmap) == expected
             assert_matches_full_model(sc)
 
 
@@ -109,8 +120,8 @@ def test_low_feed_in_price_keeps_storage_binaries(monkeypatch):
     ess = StorageSpec(2.0, 2.0, 0.95, 0.95, 0.0, 6.0, 2.0)
     ev = EVSpec(StorageSpec(3.3, 3.3, 0.9, 0.9, 0.0, 16.0, 5.0), 0, 0, False)
     sc = make_scenario(T=1, buy=[10.0], sell=[1e-3], nd=[0.0], ess=ess, ev=ev)
-    _, varmap = build_model(sc)
-    assert not varmap.grid_mode and list(varmap.ess.mode) == [0]
+    model, _ = build_model(sc)
+    assert not mode_intervals(model, "grid") and mode_intervals(model, "ess") == [0]
     full = assert_matches_full_model(sc).solution.objective
 
     monkeypatch.setattr(

@@ -1,18 +1,31 @@
-"""Property tests of the schedule CSV format (hypothesis, derandomized so the
-suite stays deterministic)."""
+"""Property tests of the schedule CSV format and the scenario document
+(hypothesis, derandomized so the suite stays deterministic)."""
 
 import re
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hems.formulation import DeviceSchedule, Schedule
 from hems.io import ScheduleCSVError, schedule_from_csv, schedule_to_csv
-from hems.scenario import MAX_INTERVALS, synth_case
+from hems.scenario import (
+    MAX_INTERVALS,
+    ApplianceSpec,
+    EVSpec,
+    Scenario,
+    StorageSpec,
+    Tariff,
+    TimeGrid,
+    load_scenario,
+    save_scenario,
+    synth_case,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -107,3 +120,60 @@ def test_schedule_csv_rejects_a_non_finite_cell(csv_path, case_scenarios, data, 
     message = f"line {3 + t}: bad number '{raw}' in column {column}"
     with pytest.raises(ScheduleCSVError, match=re.escape(message)):
         schedule_from_csv(csv_path, scenario)
+
+
+# ---------------------------------------------------------------------------
+# scenario documents
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# Up to 1e150, so that the sums behind the automatic caps stay finite.
+NONNEG = st.floats(min_value=0.0, max_value=1e150)
+POSITIVE = NONNEG.filter(lambda x: x > 0.0)
+
+
+@st.composite
+def storage_specs(draw):
+    soe_min, soe_init, soe_max = sorted(draw(st.lists(NONNEG, min_size=3, max_size=3)))
+    eff = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    return StorageSpec(draw(POSITIVE), draw(POSITIVE), draw(eff), draw(eff),
+                       soe_min, soe_max, soe_init)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios: any devices, both storage flags, auto or explicit limits."""
+    T = draw(st.integers(1, 6))
+    series = arrays(np.float64, T, elements=NONNEG)
+    names = draw(st.lists(st.text("abcdefgh_", min_size=1, max_size=6), max_size=3, unique=True))
+    ev = None
+    if draw(st.booleans()):
+        arrival = draw(st.integers(0, T - 1))
+        ev = EVSpec(draw(storage_specs()), arrival, draw(st.integers(arrival, T - 1)),
+                    draw(st.booleans()))
+    return Scenario(
+        grid=TimeGrid(T, draw(POSITIVE)),
+        tariff=Tariff(draw(series), draw(series)),
+        non_deferrable=draw(series),
+        appliances=tuple(ApplianceSpec(name, draw(series), draw(NONNEG)) for name in names),
+        ess=draw(st.none() | storage_specs()),
+        ess_end_reserve=draw(st.booleans()),
+        ev=ev,
+        pv_gen=draw(series),
+        penalties=tuple(sorted(draw(st.lists(NONNEG, min_size=3, max_size=3, unique=True)))),
+        big_m=(draw(st.none() | POSITIVE), draw(st.none() | POSITIVE)),
+    )
+
+
+@pytest.fixture(scope="module")
+def scenario_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("scenario") / "scenario.yaml"
+
+
+@PROPERTY_SETTINGS
+@given(sc=scenarios())
+@example(sc=synth_case(
+    "A", False, replace(load_scenario(SCENARIOS / "reference_hourly.yaml"), ess_end_reserve=False)
+))
+def test_scenario_round_trips_through_its_document(scenario_path, sc):
+    save_scenario(sc, scenario_path)
+    assert load_scenario(scenario_path) == sc

@@ -145,16 +145,11 @@ def test_audit_vs_model_residuals_agree():
 
         schedule = schedule_from_values(sc, varmap, solution.values)
         if rng.random() < 0.6:
-            targets = [(schedule, f) for f in ("grid_buy", "grid_sell", "pv_used", "pv_sold")]
-            for dev, vars_ in ((schedule.ess, varmap.ess), (schedule.ev, varmap.ev)):
-                if dev is not None:
-                    targets += [(dev, f) for f in DEVICE_FIELDS]
-            obj, field = targets[int(rng.integers(0, len(targets)))]
-            if obj is schedule:
-                t = int(rng.integers(0, sc.grid.T))
-            else:
-                vars_ = varmap.ess if obj is schedule.ess else varmap.ev
-                t = int(rng.integers(vars_.window[0], vars_.window[1] + 1))
+            targets = [(schedule, f, (0, sc.grid.T - 1)) for f in FIELDS[:4]]
+            for dev in sc.storage:
+                targets += [(getattr(schedule, dev.name), f, dev.window) for f in DEVICE_FIELDS]
+            obj, field, (lo, hi) = targets[int(rng.integers(0, len(targets)))]
+            t = int(rng.integers(lo, hi + 1))
             getattr(obj, field)[t] += float(rng.choice([-0.2, 0.2]))
         values = schedule_to_values(sc, model, varmap, schedule)
         model_ok = max_violation(model, values) <= 1e-6
