@@ -62,7 +62,10 @@ def _solve_cases(
     Returns, per run, its stats.json entry (seconds cover build + solve +
     decode) and its summary.csv row (money columns empty without a schedule).
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"--out {out_dir}: cannot create the directory: {exc.strerror}")
     runs = []
     for case in cases:
         for flag in _DSM_FLAGS[dsm]:
@@ -224,7 +227,10 @@ def validate(scenario_file, schedule_csv, report_path):
             f"rows={fam.rows_checked}{where}"
         )
     if report_path is not None:
-        write_json(report.to_mapping(), report_path)
+        try:
+            write_json(report.to_mapping(), report_path)
+        except OSError as exc:
+            raise click.UsageError(f"--report {report_path}: cannot write: {exc.strerror}")
         click.echo(f"report written to {report_path}")
     sys.exit(0 if report.passed else 1)
 

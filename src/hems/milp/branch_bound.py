@@ -4,16 +4,8 @@ Best-bound node selection (ties: deeper node, then insertion order) and
 most-fractional branching (ties: lowest variable id). Node LPs are solved by
 the bounded-variable simplex with the branching decisions applied as bounds.
 A binary counts as integral within INTEGRALITY_TOL, and the search proves
-optimality within GAP_TOL; both are fixed.
-
-One LP-free step works on each node's optimal point. Rounding: the point's
-fractional binaries are visited in ascending id order and each is set to its
-nearest integer, or else to the other value, keeping the value only if every
-row still holds. If all of them fit, the rounded point is a feasible
-solution and becomes the incumbent when its cost improves on it; an integral
-point rounds to itself, so this is the only incumbent update. With cost-free
-binaries, as in the mode binaries the home energy model keeps, it costs what
-the node's LP does, so the node closes at once. Every node solves its own LP.
+optimality within GAP_TOL; both are fixed. The only incumbent is a node LP
+point with no fractional binary.
 """
 
 from __future__ import annotations
@@ -59,26 +51,6 @@ def _fractional(values: np.ndarray, binary_ids: np.ndarray) -> tuple[np.ndarray,
     dist = np.minimum(np.abs(v), np.abs(1.0 - v))
     keep = dist > INTEGRALITY_TOL
     return binary_ids[keep], dist[keep]
-
-
-def _round(core: CompiledLP, x: np.ndarray, frac_ids: np.ndarray) -> np.ndarray | None:
-    """Round the fractional binaries of `x` one by one in ascending id order,
-    nearest integer first, keeping a value only while every row holds.
-
-    Returns the rounded point (a copy of `x` when there is nothing to round),
-    or None when some binary fits neither way. A fractional binary is free at
-    its node, so both values respect its bounds.
-    """
-    xt = x.copy()
-    for vid in frac_ids:
-        rounded = float(round(xt[vid]))
-        for val in (rounded, 1.0 - rounded):
-            xt[vid] = val
-            if core.rows_feasible(xt):
-                break
-        else:
-            return None
-    return xt
 
 
 def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolution:
@@ -137,16 +109,11 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
         if obj >= best_obj - GAP_TOL:
             continue
 
-        # An integral point rounds to itself. Strict improvement keeps the
-        # first solution found among ties, deterministically.
+        # The prune above makes an integral point a strict improvement, which
+        # keeps the first solution found among ties, deterministically.
         frac_ids, dist = _fractional(x, binary_ids)
-        rounded = _round(core, x, frac_ids)
-        if rounded is not None:
-            rounded_obj = float(core.cost @ rounded)
-            if rounded_obj < best_obj:
-                best_obj = rounded_obj
-                incumbent = rounded
-        if frac_ids.size == 0 or obj >= best_obj - GAP_TOL:
+        if frac_ids.size == 0:
+            best_obj, incumbent = obj, x
             continue
 
         j = int(frac_ids[np.argmax(dist)])

@@ -147,16 +147,6 @@ class CompiledLP:
         return np.bincount(self.col_of, weights=self.vals * y[self.row_idx],
                            minlength=self.n + self.m)
 
-    def rows_feasible(self, x_struct: np.ndarray) -> bool:
-        """Whether a structural point satisfies every row within FEAS_TOL
-        (bounds not checked)."""
-        resid = self.b - self.matvec(x_struct)
-        slack_tol = FEAS_TOL * (1.0 + np.abs(self.b))
-        return bool(
-            np.all(resid >= self.slack_lower - slack_tol)
-            and np.all(resid <= self.slack_upper + slack_tol)
-        )
-
 
 @dataclass(eq=False)
 class SimplexResult:

@@ -146,8 +146,14 @@ class Scenario(_HoldsSeries):
         if self.ess is None:  # the document has no ess block to say otherwise
             object.__setattr__(self, "ess_end_reserve", True)
         validate(self)
-        auto = default_big_m(self.non_deferrable, self.appliances, self.ess, self.ev, self.pv_gen)
+        with np.errstate(over="ignore"):  # an auto cap in effect that overflows is refused below
+            auto = default_big_m(self.non_deferrable, self.appliances, self.ess, self.ev,
+                                 self.pv_gen)
         caps = tuple(a if given is None else given for given, a in zip(self.big_m, auto))
+        for key, cap in zip(_LIMIT_KEYS, caps):
+            if not math.isfinite(cap):
+                raise ScenarioError(f"limits.{key}: the auto cap passes the float maximum; "
+                                    f"give a finite limit")
         object.__setattr__(self, "caps", caps)
 
     @property

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from hems.milp import (
     solve_lp,
     solve_milp,
 )
-from hems.milp.simplex import CompiledLP, SimplexResult
+from hems.milp.simplex import SimplexResult
 from hems.scenario import synth_case
 
 from lp_oracle import best_binary_fixing, max_violation, random_boxed_lp
@@ -204,29 +203,6 @@ def _record_lp_iterations(monkeypatch) -> list[int]:
     return iterations
 
 
-def _round_fixture() -> MILPModel:
-    """x <= u with u binary: u = 0 breaks the row whenever x > 0."""
-    m = MILPModel()
-    x = m.add_continuous("x", 0.0, 1.0)
-    u = m.add_binary("u")
-    m.add_constraint([(x, 1.0), (u, -1.0)], "<=", 0.0, "link")
-    return m
-
-
-def test_round_takes_the_other_value_when_the_nearest_breaks_a_row():
-    core = CompiledLP(_round_fixture())
-    rounded = branch_bound._round(core, np.array([0.4, 0.4]), np.array([1]))
-    assert rounded is not None
-    assert rounded.tolist() == [0.4, 1.0]
-
-
-def test_round_fails_when_neither_value_fits():
-    m = _round_fixture()
-    m.add_constraint([(1, 1.0)], "<=", 0.7, "cap")
-    core = CompiledLP(m)
-    assert branch_bound._round(core, np.array([0.4, 0.4]), np.array([1])) is None
-
-
 @pytest.mark.parametrize(
     "child_status, expected",
     [(NUMERICAL, NUMERICAL), (UNBOUNDED, NUMERICAL), (ITERATION_LIMIT, ITERATION_LIMIT)],
@@ -236,28 +212,41 @@ def test_failed_child_lp_returns_numerical_with_incumbent(monkeypatch, child_sta
     """A node LP below the root that fails numerically, or is unbounded under
     a bounded root, stops the search with status numerical; one that hits the
     LP pivot cap stops it with status iteration_limit. Either way the search
-    keeps the incumbent the root's rounding found."""
+    keeps its incumbent: here the first integral node LP point, after which
+    the next node LP fails."""
     original = branch_bound.solve_compiled
-    calls = []
+    binary_ids = np.array(_knapsack().binary_ids())
+    calls = []   # (lower, upper, result) of every node LP, as solved
+    held = False   # whether an earlier node LP point was integral
 
-    def fail_below_root(*args, **kwargs):
-        res = original(*args, **kwargs)
-        calls.append(res.status)
-        if len(calls) == 1:
-            return res
-        return SimplexResult(child_status, res.x, math.nan, res.iterations)
+    def fail_after_incumbent(core, lower, upper, *args, **kwargs):
+        nonlocal held
+        res = original(core, lower, upper, *args, **kwargs)
+        calls.append((lower.copy(), upper.copy(), res))
+        if held:
+            return SimplexResult(child_status, res.x, math.nan, res.iterations)
+        held = res.status == OPTIMAL and branch_bound._fractional(res.x, binary_ids)[0].size == 0
+        return res
 
-    monkeypatch.setattr(branch_bound, "solve_compiled", fail_below_root)
+    monkeypatch.setattr(branch_bound, "solve_compiled", fail_after_incumbent)
     m = _knapsack()
     r = solve_milp(m)
-    assert calls[0] == OPTIMAL and len(calls) == 2
+    assert all(res.status == OPTIMAL for _, _, res in calls[:-1]) and len(calls) > 2
     assert r.status == expected
     assert math.isfinite(r.objective)
     assert r.objective == pytest.approx(m.objective_vector() @ r.values, abs=1e-9)
     assert max_violation(m, r.values) <= 1e-9
     assert r.objective >= _knapsack_optimum() - 1e-9
-    # The search stopped at a child of the root, whose key is the root LP's bound.
-    assert r.bound == solve_lp(m).objective <= _knapsack_optimum()
+    # The search stopped at the failing node, whose key is the LP objective
+    # of its parent: the node that differs from it in one freed binary.
+    lower, upper, _ = calls[-1]
+    parents = [
+        res.objective for plo, pup, res in calls[:-1]
+        if np.count_nonzero((plo != lower) | (pup != upper)) == 1
+        and np.all(plo <= lower) and np.all(pup >= upper)
+    ]
+    assert len(parents) == 1
+    assert r.bound == parents[0] <= _knapsack_optimum()
 
 
 def test_failed_root_lp_returns_numerical_without_incumbent(monkeypatch):
@@ -283,28 +272,12 @@ def test_lp_iterations_count_every_lp(monkeypatch, hourly_reference, case, dsm):
 
 
 @pytest.mark.parametrize("case", "ABCD")
-def test_rounding_closes_the_root_without_dsm(monkeypatch, hourly_reference, case):
+def test_root_lp_solves_a_model_without_binaries(monkeypatch, hourly_reference, case):
     """Without DSM the reference cases keep no binary: the root LP is the
     whole solve."""
     iterations = _record_lp_iterations(monkeypatch)
     model, _ = build_model(synth_case(case, False, hourly_reference))
     assert model.binary_ids() == []
-    r = solve_milp(model)
-    assert r.status == OPTIMAL
-    assert r.nodes_explored == 1
-    assert len(iterations) == 1
-
-
-def test_rounding_closes_the_root_of_a_lossless_ess(monkeypatch, hourly_reference):
-    """Cost-free binaries: a rounding that keeps every row feasible costs what
-    the root LP does, so the root node closes after its one LP. A lossless
-    ESS keeps its 24 charge/discharge mode binaries (case C, DSM off)."""
-    lossless = replace(
-        hourly_reference, ess=replace(hourly_reference.ess, charge_eff=1.0, discharge_eff=1.0)
-    )
-    iterations = _record_lp_iterations(monkeypatch)
-    model, _ = build_model(synth_case("C", False, lossless))
-    assert len(model.binary_ids()) == 24
     r = solve_milp(model)
     assert r.status == OPTIMAL
     assert r.nodes_explored == 1

@@ -607,6 +607,31 @@ def test_validate_report_is_strict_json_when_a_violation_overflows(
     assert balance["worst_interval"] == 3
 
 
+def test_validate_unwritable_report_is_a_usage_error(runner, tmp_path, hourly_sweep):
+    scenario, result = hourly_sweep[("C", False)]
+    scenario_path = tmp_path / "case_c.yaml"
+    save_scenario(scenario, scenario_path)
+    csv_path = tmp_path / "schedule.csv"
+    schedule_to_csv(result.schedule, scenario, csv_path)
+    report_path = tmp_path / "missing" / "audit.json"
+    result = runner.invoke(
+        main, ["validate", str(scenario_path), str(csv_path), "--report", str(report_path)]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"--report {report_path}: cannot write: No such file or directory" in result.output
+    assert not report_path.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_out_below_a_file_is_a_usage_error(runner, tmp_path, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    result = runner.invoke(main, [command, HOURLY, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"--out {out}: cannot create the directory: Not a directory" in result.output
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_shared_options_have_help_text(runner, command):
     result = runner.invoke(main, [command, "--help"])

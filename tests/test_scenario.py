@@ -215,6 +215,25 @@ def test_explicit_limits_override():
     assert sc.caps == (2.5, 1.0)  # export floor when nothing can export
 
 
+def test_auto_caps_past_the_float_maximum_name_their_limit():
+    """A load plus a delayable block of 1e308 kW sums past the float maximum:
+    the auto import cap is refused by name, and an explicit one is taken
+    without a numpy overflow warning."""
+    doc = minimal_doc(T=2)
+    doc["non_deferrable"] = [1e308, 0.0]
+    doc["appliances"] = [{"name": "a", "adt_hours": 1.0, "profile": [1e308, 0.0]}]
+    with pytest.raises(ScenarioError, match=r"^limits\.import_cap: the auto cap passes"):
+        parse_scenario(doc)
+    doc["limits"] = {"import_cap": 5.0}
+    assert parse_scenario(doc).caps == (5.0, 1.0)
+    doc["limits"] = {"import_cap": 5.0, "export_cap": "auto"}
+    doc["pv_gen"] = [1.7e308, 0.0]
+    doc["ess"] = {"charge_rate": 1.0, "discharge_rate": 1e308, "charge_eff": 1.0,
+                  "discharge_eff": 1.0, "soe_min": 0.0, "soe_max": 1.0, "soe_init": 1.0}
+    with pytest.raises(ScenarioError, match=r"^limits\.export_cap: the auto cap passes"):
+        parse_scenario(doc)
+
+
 def test_limits_round_trip_as_given(tmp_path, hourly_reference):
     path = tmp_path / "roundtrip.yaml"
     save_scenario(hourly_reference, path)
