@@ -1,8 +1,8 @@
 """Command-line front end: solve scenarios, run the case sweep, validate
 schedule files.
 
-Exit codes: 0 optimal/pass, 1 infeasible/unbounded/limit/numerical/audit-fail,
-2 usage or parse errors.
+Exit codes: 0 optimal/pass, 1 infeasible/limit/numerical/audit-fail, 2 usage
+or parse errors.
 """
 
 from __future__ import annotations

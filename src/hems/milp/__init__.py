@@ -7,7 +7,6 @@ from .model import (
     ITERATION_LIMIT,
     NUMERICAL,
     OPTIMAL,
-    UNBOUNDED,
     LinearConstraint,
     MILPModel,
     MILPSolution,
@@ -27,7 +26,6 @@ __all__ = [
     "solve_milp",
     "OPTIMAL",
     "INFEASIBLE",
-    "UNBOUNDED",
     "ITERATION_LIMIT",
     "NUMERICAL",
 ]

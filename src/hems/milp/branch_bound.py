@@ -22,7 +22,6 @@ from .model import (
     ITERATION_LIMIT,
     NUMERICAL,
     OPTIMAL,
-    UNBOUNDED,
     MILPModel,
     MILPSolution,
 )
@@ -57,10 +56,10 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
     """Minimize the model over its binary variables.
 
     Returns status "optimal" with the incumbent proven within GAP_TOL,
-    "infeasible"/"unbounded" from the root relaxation, "iteration_limit"
-    with the best incumbent found when a node or LP budget runs out, or
-    "numerical" with the best incumbent found when a node LP fails
-    numerically (a simplex failure, or an unbounded LP below a bounded root).
+    "infeasible" when the search ends without an integral point,
+    "iteration_limit" with the best incumbent found when a node or LP budget
+    runs out, or "numerical" with the best incumbent found when a node LP
+    fails numerically.
     """
     opts = options or MilpOptions()
 
@@ -97,11 +96,7 @@ def solve_milp(model: MILPModel, options: MilpOptions | None = None) -> MILPSolu
         lp_iterations += res.iterations
         if res.status == INFEASIBLE:
             continue
-        if res.status == UNBOUNDED and node.depth == 0:
-            return MILPSolution(UNBOUNDED, res.x, -math.inf, nodes_explored, lp_iterations, -math.inf)
         if res.status != OPTIMAL:
-            # Short of the LP budget, this is numerical trouble: the
-            # simplex's own, or an unbounded child of a bounded parent.
             stop = ITERATION_LIMIT if res.status == ITERATION_LIMIT else NUMERICAL
             break
         x, obj = res.x, res.objective

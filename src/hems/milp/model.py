@@ -1,8 +1,8 @@
 """Containers for mixed-integer linear programs.
 
 Models are held in bounded-variable form: every variable carries its own
-[lower, upper] range and every constraint is a sparse linear row with a
-sense and right-hand side. Minimization only.
+finite [lower, upper] range (every column is boxed) and every constraint is
+a sparse linear row with a sense and right-hand side. Minimization only.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ Sense = Literal["<=", "=", ">="]
 # Solver status labels shared by the LP and MILP engines.
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 NUMERICAL = "numerical"  # the solver's arithmetic broke an invariant of the method
 
@@ -55,9 +54,9 @@ class MILPSolution:
     when a search stops at a limit or on numerical trouble.
 
     `bound` is a proven lower bound on the optimum: the objective when
-    optimal, -inf when unbounded, nan when infeasible. A branch-and-bound
-    search that stops early reports the smallest bound of its open nodes
-    (-inf if the root LP never finished); an LP solve that stops, nan.
+    optimal, nan when infeasible. A branch-and-bound search that stops
+    early reports the smallest bound of its open nodes (-inf if the root LP
+    never finished); an LP solve that stops, nan.
     """
 
     status: str
@@ -79,29 +78,18 @@ class MILPModel:
 
     # -- construction -----------------------------------------------------
 
-    def add_variable(
-        self,
-        kind: VarKind,
-        lower: float = 0.0,
-        upper: float | None = None,
-        name: str = "",
-    ) -> int:
+    def add_variable(self, kind: VarKind, lower: float, upper: float, name: str = "") -> int:
         """Add a variable and return its id.
 
-        `upper=None` defaults to +inf for continuous variables and 1 for
-        binaries. Rejects NaN bounds, inverted bounds and binary bounds
-        outside [0, 1].
+        Rejects bounds that are not finite, inverted bounds and binary
+        bounds outside [0, 1].
         """
         if kind not in ("continuous", "binary"):
             raise ModelError(f"unknown variable kind {kind!r}")
-        if upper is None:
-            upper = 1.0 if kind == "binary" else math.inf
         lower = float(lower)
         upper = float(upper)
-        if math.isnan(lower) or math.isnan(upper):
-            raise ModelError(f"variable {name!r}: NaN bound")
-        if lower == math.inf or upper == -math.inf:
-            raise ModelError(f"variable {name!r}: bound at the wrong infinity")
+        if not (math.isfinite(lower) and math.isfinite(upper)):
+            raise ModelError(f"variable {name!r}: bounds [{lower}, {upper}] are not finite")
         if lower > upper:
             raise ModelError(
                 f"variable {name!r}: lower bound {lower} exceeds upper bound {upper}"
@@ -112,7 +100,7 @@ class MILPModel:
         self.variables.append(Variable(vid, kind, lower, upper, name or f"x{vid}"))
         return vid
 
-    def add_continuous(self, name: str, lower: float = 0.0, upper: float = math.inf) -> int:
+    def add_continuous(self, name: str, lower: float, upper: float) -> int:
         return self.add_variable("continuous", lower, upper, name)
 
     def add_binary(self, name: str) -> int:
@@ -243,12 +231,6 @@ class MILPModel:
             name = names[v.id]
             if v.lower == v.upper:
                 lines.append(f" {name} = {v.lower:.12g}")
-            elif v.lower == -math.inf and v.upper == math.inf:
-                lines.append(f" {name} free")
-            elif v.upper == math.inf:
-                lines.append(f" {name} >= {v.lower:.12g}")
-            elif v.lower == -math.inf:
-                lines.append(f" {name} <= {v.upper:.12g}")
             else:
                 lines.append(f" {v.lower:.12g} <= {name} <= {v.upper:.12g}")
         binaries = [names[i] for i in self.binary_ids()]

@@ -7,26 +7,26 @@ solving. Anti-cycling: Bland's rule is engaged after a run of degenerate
 pivots and released on the next improving step.
 
 One float array, `side`, holds the rest side of every column: −1 at its
-lower bound, +1 at its upper bound, 0 when it is basic, fixed or free (a
-nonbasic free column rests at zero and is also listed in `free`). Pricing
-scores d·side, and |d| for a free column; a bound flip negates the side. A
-nonbasic column always holds its true range, so phase 2 starts from the
-sides phase 1 left.
+lower bound, +1 at its upper bound, 0 when it is basic or fixed. Pricing
+scores d·side; a bound flip negates the side. A nonbasic column always holds
+its true range, so phase 2 starts from the sides phase 1 left.
 
 Columns are [structural | slacks], and the whole matrix [A | I] is stored
 in compressed sparse column (CSC) form: the slack (logical) columns are the
 m unit columns that follow the n structural ones, so every column is read,
 priced and scattered the same way.
 
-Phase 1 needs no artificial columns. The start puts structural variables at
-their nearest finite bound and makes every slack basic, carrying the row
-residual b − A·x. Any basic variable that lies above its range is relaxed to
-[upper, +inf) with phase-1 cost +1, one below its range to (−inf, lower] with
-cost −1, so phase 1 minimizes the sum of bound violations (Maros,
-*Computational Techniques of the Simplex Method*, 2003). A relaxed variable
-can only leave the basis on the bound it violated, which is a bound of its
-true range: it gets that range back and loses its phase-1 cost there. At the
-end of phase 1 every variable gets its true range back.
+Every structural column is boxed (`MILPModel` refuses a bound that is not
+finite), so only a slack can have an open side. Phase 1 needs no artificial
+columns. The start puts structural variables at their lower bound and makes
+every slack basic, carrying the row residual b − A·x. Any basic variable
+that lies above its range is relaxed to [upper, +inf) with phase-1 cost +1,
+one below its range to (−inf, lower] with cost −1, so phase 1 minimizes the
+sum of bound violations (Maros, *Computational Techniques of the Simplex
+Method*, 2003). A relaxed variable can only leave the basis on the bound it
+violated, which is a bound of its true range: it gets that range back and
+loses its phase-1 cost there. At the end of phase 1 every variable gets its
+true range back.
 
 The basis inverse B⁻¹ is a dense m×m array, but each pivot only touches the
 part of it that the entering column w = B⁻¹a_q needs, and w is very sparse on
@@ -59,7 +59,6 @@ from .model import (
     ITERATION_LIMIT,
     NUMERICAL,
     OPTIMAL,
-    UNBOUNDED,
     MILPModel,
     MILPSolution,
 )
@@ -161,10 +160,11 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
     in at most LP_ITERATION_LIMIT pivots.
 
     Status "numerical" means the arithmetic broke an invariant the method
-    relies on: a phase-1 objective that decreases without bound, or a basis
-    that is singular at refactorization. The objective is finite only when
-    the status is optimal, −inf when it is unbounded and nan otherwise; `x`
-    always holds the structural values where the method stopped.
+    relies on: an objective that decreases without bound, which boxed
+    structural bounds rule out, or a basis that is singular at
+    refactorization. The objective is finite only when the status is
+    optimal and nan otherwise; `x` always holds the structural values where
+    the method stopped.
     """
     n, m = core.n, core.m
     ntot = n + m
@@ -176,17 +176,13 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
     lo = true_lo.copy()
     hi = true_hi.copy()
 
-    # Start: structural variables rest at their nearest finite bound (`side`
-    # and `free` as in the module docstring); every slack is basic and
-    # carries the row residual.
+    # Start: structural variables rest at their lower bound (`side` as in the
+    # module docstring); every slack is basic and carries the row residual.
     x = np.zeros(ntot)
     side = np.zeros(ntot)
-    finite_lo = np.isfinite(lower)
-    finite_hi = np.isfinite(upper)
-    x[:n] = np.where(finite_lo, lower, np.where(finite_hi, upper, 0.0))
-    side[:n] = np.where(finite_lo, -1.0, np.where(finite_hi, 1.0, 0.0))
+    x[:n] = lower
+    side[:n] = -1.0
     side[:n][lower == upper] = 0.0  # a fixed column never enters
-    free = np.flatnonzero(~(finite_lo | finite_hi))
     basis = np.arange(n, ntot)
     x[n:] = b - core.matvec(x[:n])
 
@@ -233,7 +229,7 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
         return bool(np.all(resid <= FEAS_TOL * (1.0 + np.abs(b))))
 
     def run_phase(cost: np.ndarray, phase: int) -> str:
-        nonlocal iters, pivots_since_refactor, free
+        nonlocal iters, pivots_since_refactor
         dual_tol = DUAL_TOL_BASE * max(1.0, float(np.abs(cost).max(initial=0.0)))
         bland = False
         degen_run = 0
@@ -248,8 +244,6 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
             """The most improving candidate (the first one under Bland's
             rule), or -1 when no reduced cost crosses the tolerance."""
             score = d * side
-            if free.size:
-                score[free] = np.abs(d[free])
             q = int(np.argmax(score > dual_tol)) if bland else int(np.argmax(score))
             return q if score[q] > dual_tol else -1
 
@@ -320,16 +314,17 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
             if t_own <= t_best:
                 t = t_own
                 if not np.isfinite(t):
-                    # Confirm the ray against an exact factorization before
-                    # declaring unboundedness; drift can fake an open column.
+                    # Confirm the ray against an exact factorization: drift
+                    # can fake an open column. Phase 1 minimizes a sum of
+                    # bound violations and phase 2 a cost over boxed
+                    # structurals, both bounded below, so a confirmed ray is
+                    # an arithmetic failure.
                     if ray_rounds < 1:
                         ray_rounds += 1
                         refactor()
                         reprice()
                         continue
-                    # Phase 1 minimizes a sum of bound violations, which is
-                    # bounded below: a ray there is an arithmetic failure.
-                    return NUMERICAL if phase == 1 else UNBOUNDED
+                    return NUMERICAL
                 x[bnz] -= t * delta
                 x[q] = hi[q] if sq < 0 else lo[q]
                 side[q] = -sq
@@ -361,8 +356,6 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
                     cost[leave] = 0.0
                 side[q] = 0.0
                 side[leave] = 0.0 if lo[leave] == hi[leave] else (1.0 if hit_upper else -1.0)
-                if sq == 0.0:
-                    free = free[free != q]
 
             iters += 1
             if t <= DEGEN_TOL:
@@ -392,8 +385,7 @@ def solve_compiled(core: CompiledLP, lower: np.ndarray, upper: np.ndarray) -> Si
         status = NUMERICAL
 
     xs = x[:n].copy()
-    objective = float(core.cost @ xs) if status == OPTIMAL else (
-        -np.inf if status == UNBOUNDED else float("nan"))
+    objective = float(core.cost @ xs) if status == OPTIMAL else float("nan")
     return SimplexResult(status, xs, objective, iters)
 
 

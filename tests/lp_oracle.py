@@ -35,7 +35,7 @@ from hems.formulation import (
     schedule_from_values,
     shift_destinations,
 )
-from hems.milp import INFEASIBLE, MILPModel, OPTIMAL, UNBOUNDED
+from hems.milp import INFEASIBLE, MILPModel, OPTIMAL
 from hems.milp.simplex import CompiledLP, solve_compiled
 from hems.scenario import Scenario
 
@@ -43,15 +43,13 @@ FEAS_EPS = 1e-8
 
 
 def enumerate_lp_optimum(model: MILPModel) -> tuple[str, float]:
-    """(status, objective) by brute force. Requires finite variable bounds.
+    """(status, objective) by brute force over the model's finite boxes.
 
     Each (tight rows, free variables) combination is one square system; every
     bound pick of the pinned variables is a right-hand side of it, so one
     solve covers them all. A singular system yields no candidate."""
     n = model.num_variables
     lo, hi = model.bounds_arrays()
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("oracle needs finite bounds")
     c = model.objective_vector()
     m = model.num_constraints
     A = np.zeros((m, n))
@@ -244,8 +242,8 @@ def max_violation(model: MILPModel, values: np.ndarray) -> float:
 
 
 def highs_solve(model: MILPModel) -> tuple[str, float]:
-    """(status, objective) as HiGHS reports them: optimal, infeasible or
-    unbounded, else HiGHS's message; the objective is nan unless optimal."""
+    """(status, objective) as HiGHS reports them: optimal or infeasible,
+    else HiGHS's message; the objective is nan unless optimal."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
 
@@ -270,13 +268,19 @@ def highs_solve(model: MILPModel) -> tuple[str, float]:
         constraints=LinearConstraint(A, row_lo, row_hi),
         options={"mip_rel_gap": 0.0},
     )
-    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, res.message)
+    status = {0: OPTIMAL, 2: INFEASIBLE}.get(res.status, res.message)
     return status, float(res.fun) if status == OPTIMAL else math.nan
 
 
-def random_boxed_lp(rng: np.random.Generator, max_vars: int = 7, max_rows: int = 5) -> MILPModel:
+def random_boxed_lp(rng: np.random.Generator, max_vars: int = 7, max_rows: int = 5,
+                    near_degenerate: bool = False) -> MILPModel:
     """Random LP with finite boxes and small integer-ish data; occasionally
-    infeasible by construction."""
+    infeasible by construction.
+
+    `near_degenerate` draws the costs from {-1, 0, 1}, so optima tie along
+    edges and faces, and appends a copy of one row, as is or scaled by -1, 2
+    or 0.5 (a negative scale flips the sense), so some vertices have more
+    tight rows than columns. The draws without it are unchanged."""
     n = int(rng.integers(2, max_vars + 1))
     m = int(rng.integers(1, max_rows + 1))
     model = MILPModel("random_lp")
@@ -304,9 +308,14 @@ def random_boxed_lp(rng: np.random.Generator, max_vars: int = 7, max_rows: int =
         else:
             rhs = float(rng.integers(-20, 21))
         model.add_constraint(terms, sense, rhs, f"r{i}")
+    if near_degenerate:
+        row = model.constraints[int(rng.integers(0, m))]
+        s = float(rng.choice((1.0, -1.0, 2.0, 0.5)))
+        sense = {"<=": ">=", ">=": "<=", "=": "="}[row.sense] if s < 0 else row.sense
+        model.add_constraint([(v, s * c) for v, c in row.terms], sense, s * row.rhs, "copy")
     obj = []
     for j in range(n):
-        coef = float(rng.integers(-9, 10))
+        coef = float(rng.integers(-1, 2) if near_degenerate else rng.integers(-9, 10))
         if coef:
             obj.append((j, coef))
     if not obj:

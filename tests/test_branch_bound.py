@@ -16,7 +16,6 @@ from hems.milp import (
     ITERATION_LIMIT,
     NUMERICAL,
     OPTIMAL,
-    UNBOUNDED,
     MILPModel,
     MilpOptions,
     solve_lp,
@@ -107,18 +106,6 @@ def test_binary_squeezed_between_rows_is_infeasible():
     assert math.isnan(r.objective) and math.isnan(r.bound)
 
 
-def test_unbounded_root_relaxation_is_unbounded():
-    m = MILPModel()
-    u = m.add_binary("u")
-    x = m.add_continuous("x", 0.0, math.inf)
-    m.add_constraint([(x, 1.0), (u, -1.0)], ">=", 0.0, "link")
-    m.set_objective([(x, -1.0)])
-    r = solve_milp(m)
-    assert r.status == UNBOUNDED
-    assert r.objective == -math.inf and r.bound == -math.inf
-    assert r.nodes_explored == 1
-
-
 def test_node_limit_returns_incumbent_status():
     rng = np.random.default_rng(90)
     hit = False
@@ -205,15 +192,14 @@ def _record_lp_iterations(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize(
     "child_status, expected",
-    [(NUMERICAL, NUMERICAL), (UNBOUNDED, NUMERICAL), (ITERATION_LIMIT, ITERATION_LIMIT)],
-    ids=[NUMERICAL, UNBOUNDED, ITERATION_LIMIT],
+    [(NUMERICAL, NUMERICAL), (ITERATION_LIMIT, ITERATION_LIMIT)],
+    ids=[NUMERICAL, ITERATION_LIMIT],
 )
 def test_failed_child_lp_returns_numerical_with_incumbent(monkeypatch, child_status, expected):
-    """A node LP below the root that fails numerically, or is unbounded under
-    a bounded root, stops the search with status numerical; one that hits the
-    LP pivot cap stops it with status iteration_limit. Either way the search
-    keeps its incumbent: here the first integral node LP point, after which
-    the next node LP fails."""
+    """A node LP below the root that fails numerically stops the search with
+    status numerical; one that hits the LP pivot cap stops it with status
+    iteration_limit. Either way the search keeps its incumbent: here the
+    first integral node LP point, after which the next node LP fails."""
     original = branch_bound.solve_compiled
     binary_ids = np.array(_knapsack().binary_ids())
     calls = []   # (lower, upper, result) of every node LP, as solved

@@ -437,10 +437,13 @@ def test_validate_flags_tampered_soe(runner, tmp_path):
     csv_path = tmp_path / "schedule.csv"
     result_obj.schedule.ess.soe[5] += 0.7
     schedule_to_csv(result_obj.schedule, scenario, csv_path)
+    set_cells(csv_path, 4, {"shift_dest_dishwasher": ""})  # interval 1 loses its destination
     result = runner.invoke(main, ["validate", str(scenario_path), str(csv_path)])
     assert result.exit_code == 1
     assert "ess" in result.output
     assert "FAIL" in result.output
+    shifting = next(l for l in result.output.splitlines() if l.startswith("shifting "))
+    assert "FAIL" in shifting and shifting.endswith(" at interval 1 (dishwasher)"), shifting
 
 
 def test_validate_flags_a_device_the_scenario_lacks(runner, tmp_path, hourly_sweep):

@@ -10,7 +10,7 @@ from lp_oracle import max_violation, row_violations
 
 def test_add_variable_ids_and_count():
     m = MILPModel()
-    a = m.add_variable("continuous", 0.0, math.inf, "Pgrid_1")
+    a = m.add_variable("continuous", 0.0, 100.0, "Pgrid_1")
     assert a == 0
     assert m.num_variables == 1
     b = m.add_variable("binary", 0.0, 1.0, "uESS_3")
@@ -24,20 +24,22 @@ def test_add_variable_rejects_inverted_bounds():
 
 
 def test_add_variable_rejects_nan_and_bad_binary_bounds():
+    # Every column is boxed: a bound that is not finite is refused by name.
     m = MILPModel()
-    with pytest.raises(ModelError, match="NaN"):
-        m.add_variable("continuous", math.nan, 1.0, "x")
+    inf = math.inf
+    for lower, upper in ((math.nan, 1.0), (0.0, math.nan), (-inf, 1.0), (0.0, inf),
+                         (inf, inf), (-inf, -inf), (-inf, inf)):
+        with pytest.raises(ModelError, match=r"variable 'x': bounds \[.*\] are not finite"):
+            m.add_variable("continuous", lower, upper, "x")
     with pytest.raises(ModelError, match="binary bounds"):
         m.add_variable("binary", -0.5, 1.0, "u")
-    with pytest.raises(ModelError, match="infinity"):
-        m.add_variable("continuous", math.inf, math.inf, "x")
     with pytest.raises(ModelError, match="unknown variable kind 'integer'"):
         m.add_variable("integer", 0.0, 1.0, "k")
 
 
 def test_constraint_validation():
     m = MILPModel()
-    x = m.add_continuous("x")
+    x = m.add_continuous("x", 0.0, 1.0)
     with pytest.raises(ModelError, match="duplicate"):
         m.add_constraint([(x, 1.0), (x, 2.0)], "<=", 1.0)
     with pytest.raises(ModelError, match="unknown variable"):
@@ -73,9 +75,12 @@ def test_lp_text_dump():
     m = MILPModel("demo")
     x = m.add_continuous("x", 0.0, 10.0)
     u = m.add_binary("pick[it]")  # name gets sanitized
-    f = m.add_variable("continuous", -math.inf, math.inf, "f")
+    f = m.add_variable("continuous", -100.0, 100.0, "f")
+    m.add_variable("continuous", 0.0, 1.0, "9lives")  # a leading digit gets an x
+    m.add_variable("continuous", 0.0, 1.0, "f")       # a repeated name gets its id
     m.add_constraint([(x, 2.0), (u, -3.5)], "<=", 4.0, "cap")
     m.add_constraint([(x, 1.0), (f, 1.0)], "=", 1.0, "tie")
+    m.add_constraint([(x, 1.0)], ">=", 0.5, "cap")    # a repeated tag gets its index
     m.set_objective([(x, 1.0), (u, 0.25)])
     text = m.to_lp_text()
 
@@ -86,7 +91,9 @@ def test_lp_text_dump():
     assert " cap: 2 x - 3.5 pick" in text
     assert "Bounds" in text
     assert " 0 <= x <= 10" in text
-    assert " f free" in text
+    assert " -100 <= f <= 100" in text
+    assert " 0 <= x9lives <= 1\n 0 <= f_4 <= 1\n" in text
+    assert " cap_2: 1 x >= 0.5\n" in text
     assert "Binaries" in text
     assert text.rstrip().endswith("End")
 
@@ -94,6 +101,7 @@ def test_lp_text_dump():
 def test_lp_text_fixed_bound_rendering(tmp_path):
     m = MILPModel()
     m.add_variable("continuous", 2.0, 2.0, "pinned")
+    assert "Minimize\n obj: 0\n" in m.to_lp_text()  # no objective set yet
     m.set_objective([(0, 1.0)])
     assert " pinned = 2" in m.to_lp_text()
     out = tmp_path / "model.lp"

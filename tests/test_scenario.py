@@ -319,6 +319,8 @@ def test_round_trip_mapping(hourly_reference):
     doc = scenario_to_mapping(hourly_reference)
     again = parse_scenario(doc)
     assert again == hourly_reference
+    assert again != replace(hourly_reference, non_deferrable=hourly_reference.non_deferrable + 0.1)
+    assert again.tariff != "tariff"  # another type: NotImplemented, then not equal
 
 
 @pytest.mark.parametrize("name", ["reference_hourly.yaml", "reference_halfhour.yaml"])

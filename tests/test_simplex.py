@@ -14,7 +14,6 @@ from hems.milp import (
     ITERATION_LIMIT,
     NUMERICAL,
     OPTIMAL,
-    UNBOUNDED,
     MILPModel,
     solve_lp,
 )
@@ -67,32 +66,43 @@ def test_no_constraints_bound_minimization():
     assert r.objective == pytest.approx(3.0 - 5.0)
     assert r.values[x] == 3.0 and r.values[y] == 5.0
 
-    ray = MILPModel()
-    z = ray.add_continuous("z", 0.0, math.inf)
-    ray.set_objective([(z, -1.0)])
-    assert solve_lp(ray).status == UNBOUNDED
 
-
-def _unbounded_model() -> MILPModel:
+def _ray_model() -> MILPModel:
+    """min −x over x, y in [0, 10] with x − y <= 1: boxed, but a ray once
+    the upper bounds are opened."""
     m = MILPModel()
-    x = m.add_continuous("x", 0.0, math.inf)
-    y = m.add_continuous("y", 0.0, math.inf)
+    x = m.add_continuous("x", 0.0, 10.0)
+    y = m.add_continuous("y", 0.0, 10.0)
     m.add_constraint([(x, 1.0), (y, -1.0)], "<=", 1.0, "gap")
     m.set_objective([(x, -1.0)])
     return m
 
 
-def test_unbounded_detection():
-    assert solve_lp(_unbounded_model()).status == UNBOUNDED
+def _solve_with_open_upper_bounds(model: MILPModel):
+    # solve_compiled takes the bounds it is handed; branch-and-bound only
+    # ever hands it the model's finite boxes, narrowed.
+    lo, hi = model.bounds_arrays()
+    return solve_compiled(CompiledLP(model), lo, np.full_like(hi, np.inf))
+
+
+def test_confirmed_ray_is_numerical():
+    """x enters and the row blocks it at 1; then y enters with x in tow and
+    nothing blocks. The ray check refactorizes, meets the same ray and stops:
+    with every column boxed, a ray is an arithmetic failure."""
+    r = _solve_with_open_upper_bounds(_ray_model())
+    assert r.status == NUMERICAL
+    assert math.isnan(r.objective)
+    assert r.iterations == 1
+    assert solve_lp(_ray_model()).objective == -10.0
 
 
 def test_singular_basis_is_numerical(monkeypatch):
-    # The ray check refactorizes the basis before declaring unboundedness.
+    # The ray check refactorizes the basis before it stops.
     def singular(a):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "inv", singular)
-    r = solve_lp(_unbounded_model())
+    r = _solve_with_open_upper_bounds(_ray_model())
     assert r.status == NUMERICAL
     assert math.isnan(r.objective)
 
@@ -120,42 +130,6 @@ def test_equality_row_with_negative_rhs():
     assert r.values[x] + 2 * r.values[y] == pytest.approx(-3.0, abs=1e-8)
 
 
-def test_free_variable():
-    m = MILPModel()
-    x = m.add_variable("continuous", -math.inf, math.inf, "free")
-    m.add_constraint([(x, 1.0)], ">=", -7.0, "floor")
-    m.set_objective([(x, 1.0)])
-    r = solve_lp(m)
-    assert r.status == OPTIMAL
-    assert r.objective == pytest.approx(-7.0, abs=1e-8)
-
-
-@pytest.mark.parametrize(
-    "rows, objective, point",
-    [
-        # x stays nonbasic through phase 1 and enters in phase 2.
-        ([([(1, 1.0)], ">=", 3.0), ([(0, 1.0), (1, -1.0)], ">=", -7.0)], -4.0, (-4.0, 3.0)),
-        # x enters during phase 1.
-        ([([(0, 1.0), (1, 1.0)], "=", 20.0)], 10.0, (10.0, 10.0)),
-    ],
-    ids=["enters-in-phase-2", "enters-in-phase-1"],
-)
-def test_free_variable_across_phase_1(rows, objective, point):
-    """min x over a free x and y in [0, 10], from a start that violates the
-    first row, so phase 1 runs with the free column in the free list."""
-    m = MILPModel()
-    x = m.add_variable("continuous", -math.inf, math.inf, "x")
-    m.add_continuous("y", 0.0, 10.0)
-    for i, (terms, sense, rhs) in enumerate(rows):
-        m.add_constraint(terms, sense, rhs, f"r{i}")
-    m.set_objective([(x, 1.0)])
-    r = solve_lp(m)
-    assert r.status == OPTIMAL
-    assert r.objective == pytest.approx(objective, abs=1e-8)
-    assert r.values == pytest.approx(point, abs=1e-8)
-    assert r.lp_iterations == 2
-
-
 def _two_relaxed_rows_model() -> MILPModel:
     # Both slacks start out of range, and each must leave the basis, so
     # phase 1 takes at least two pivots.
@@ -180,10 +154,10 @@ def test_iteration_limit_status(monkeypatch):
 
 def _feasible_start_model() -> MILPModel:
     # The all-slack start is feasible, so there is no phase 1; phase 2 takes
-    # two pivots to reach x = 1.6, y = 1.2.
+    # two pivots to reach x = 1.6, y = 1.2, inside boxes that never bind.
     m = MILPModel()
-    x = m.add_continuous("x", 0.0, math.inf)
-    y = m.add_continuous("y", 0.0, math.inf)
+    x = m.add_continuous("x", 0.0, 100.0)
+    y = m.add_continuous("y", 0.0, 100.0)
     m.add_constraint([(x, 1.0), (y, 2.0)], "<=", 4.0, "r1")
     m.add_constraint([(x, 3.0), (y, 1.0)], "<=", 6.0, "r2")
     m.set_objective([(x, -1.0), (y, -1.0)])
@@ -198,11 +172,10 @@ def _feasible_start_model() -> MILPModel:
         (_two_relaxed_rows_model, None, True, NUMERICAL),
         (_feasible_start_model, None, True, NUMERICAL),
         (_infeasible_model, None, False, INFEASIBLE),
-        (_unbounded_model, None, False, UNBOUNDED),
         (_feasible_start_model, None, False, OPTIMAL),
     ],
     ids=["phase1-iteration-limit", "phase2-iteration-limit", "phase1-singular",
-         "phase2-singular", "infeasible", "unbounded", "optimal"],
+         "phase2-singular", "infeasible", "optimal"],
 )
 def test_every_exit_of_solve_compiled(monkeypatch, build, limit, singular, status):
     model = build()
@@ -224,8 +197,6 @@ def test_every_exit_of_solve_compiled(monkeypatch, build, limit, singular, statu
     if status == OPTIMAL:
         assert math.isfinite(r.objective)
         assert r.objective == pytest.approx(-2.8, abs=1e-9)
-    elif status == UNBOUNDED:
-        assert r.objective == -math.inf
     else:
         assert math.isnan(r.objective)
     if status == ITERATION_LIMIT:
@@ -265,20 +236,21 @@ def test_pivot_below_tolerance_is_not_divided():
 
 
 def test_random_lp_matches_vertex_enumeration_oracle():
-    rng = np.random.default_rng(42)
-    n_optimal = 0
-    for _ in range(120):
-        model = random_boxed_lp(rng)
-        status, objective = enumerate_lp_optimum(model)
-        r = solve_lp(model)
-        if status == OPTIMAL:
-            n_optimal += 1
-            assert r.status == OPTIMAL
-            assert r.objective == pytest.approx(objective, abs=1e-6 * (1 + abs(objective)))
-            assert max_violation(model, r.values) <= 1e-6
-        else:
-            assert r.status == INFEASIBLE
-    assert n_optimal >= 40  # the generator must exercise the optimal path
+    """Random boxed LPs, then near-degenerate ones (ties in the costs and a
+    repeated row), against the vertex-enumeration oracle."""
+    for near_degenerate in (False, True):
+        rng = np.random.default_rng(42)
+        n_optimal = 0
+        for _ in range(120):
+            model = random_boxed_lp(rng, near_degenerate=near_degenerate)
+            status, objective = enumerate_lp_optimum(model)
+            r = solve_lp(model)
+            assert r.status == status, near_degenerate
+            if status == OPTIMAL:
+                n_optimal += 1
+                assert r.objective == pytest.approx(objective, abs=1e-6 * (1 + abs(objective)))
+                assert max_violation(model, r.values) <= 1e-6
+        assert n_optimal >= 40  # the generator must exercise the optimal path
 
 
 def test_six_var_four_row_oracle_case():
@@ -340,9 +312,8 @@ def _sparse_boxed_lp(rng: np.random.Generator, m: int, kind: str) -> MILPModel:
     """Random boxed LP with m rows, 1.5m columns and about 1% density.
 
     Rows are built around a random interior point, so the LP is feasible;
-    "unbounded" adds a cheap open ray, "infeasible" a row no box point can
-    reach. A third of the rows are equalities, whose relaxed slacks phase 1
-    must drive back to zero.
+    "infeasible" adds a row no box point can reach. A third of the rows are
+    equalities, whose relaxed slacks phase 1 must drive back to zero.
     """
     n = int(1.5 * m)
     model = MILPModel(f"sparse_{kind}")
@@ -360,11 +331,7 @@ def _sparse_boxed_lp(rng: np.random.Generator, m: int, kind: str) -> MILPModel:
         rhs = float(coefs @ x0[vids]) + slack
         model.add_constraint(list(zip(vids.tolist(), coefs.tolist())), sense, rhs, f"r{i}")
     obj = list(enumerate(rng.uniform(-10.0, 10.0, n).tolist()))
-    if kind == "unbounded":
-        u = model.add_continuous("u", 0.0, math.inf)
-        model.add_constraint([(0, 1.0), (u, -1.0)], "<=", float(hi[0]), "open")
-        obj.append((u, -0.001))
-    elif kind == "infeasible":
+    if kind == "infeasible":
         vids = rng.choice(n, size=per_row, replace=False)
         reach = float(hi[vids].sum())
         model.add_constraint([(int(v), 1.0) for v in vids], ">=", reach + 1.0, "unreachable")
@@ -379,7 +346,7 @@ def test_mid_size_sparse_lps_match_highs():
     are recomputed."""
     rng = np.random.default_rng(2026)
     for m, kind in ((200, "optimal"), (280, "optimal"), (380, "optimal"),
-                    (240, "unbounded"), (320, "infeasible")):
+                    (320, "infeasible")):
         model = _sparse_boxed_lp(rng, m, kind)
         ours = solve_lp(model)
         status, ref = highs_solve(model)

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hems.formulation import build_model, solve_scenario
 from hems.milp import solve_milp
 from hems.scenario import ApplianceSpec, StorageSpec, synth_case
-from hems.validation import audit, diagnose_infeasibility
+from hems.validation import AUDIT_TOL, audit, diagnose_infeasibility
 
 from lp_oracle import OracleSizeError, brute_force_optimum, max_violation, schedule_to_values
 from scenario_gen import random_small_scenario
@@ -125,6 +127,38 @@ def test_audit_completeness_every_mutation_caught(hourly_sweep):
                 assert not audit(scenario, schedule).passed, (app.name, src, other)
 
 
+# The family each schedule quantity belongs to: (device or None, field, family).
+OWNERS = [(None, f, fam) for f, fam in
+          zip(FIELDS, ("balance", "export", "pv", "pv", "shifting"))] + [
+    (dev, f, dev) for dev in ("ess", "ev") for f in DEVICE_FIELDS]
+MAX_DELTA = 10.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_each_quantity_fails_the_family_that_owns_it(hourly_sweep, data):
+    """One quantity of the hourly D DSM-on schedule, moved at one interval by
+    more than AUDIT_TOL·(1 + |rhs|), fails the family that owns it at that
+    interval; soe also enters the next interval's energy row."""
+    scenario, result = hourly_sweep[("D", True)]
+    dev, field, family = data.draw(st.sampled_from(OWNERS))
+    t = data.draw(st.integers(0, scenario.grid.T - 1))
+    # A row's |rhs| is at most the sum of the largest magnitudes of the
+    # quantities it holds (coefficients at most 1, dt = 1) plus the move; the
+    # factor 2 covers the efficiencies of 0.9 and 0.95 on a moved flow.
+    sched = result.schedule
+    held = (sched.series, sched.ess.series, sched.ev.series, scenario.pv_gen, np.array(scenario.caps))
+    rhs_bound = sum(float(np.abs(q).max(axis=-1).sum()) for q in held) + MAX_DELTA
+    size = data.draw(st.floats(2.0 * AUDIT_TOL * (1.0 + rhs_bound), MAX_DELTA))
+    delta = data.draw(st.sampled_from((size, -size)))
+
+    schedule = clone_schedule(sched)
+    getattr(getattr(schedule, dev) if dev else schedule, field)[t] += delta
+    fam = audit(scenario, schedule).family(family)
+    assert not fam.passed, (dev, field, t, delta)
+    assert fam.worst_interval in ((t, t + 1) if field == "soe" else (t,)), (dev, field, t, delta)
+
+
 def test_audit_vs_model_residuals_agree():
     """audit() and the MILP row/bound check of the paper's full model agree
     on 100 random schedules.
@@ -199,6 +233,7 @@ def test_three_interval_ess_matches_solver():
     assert direct.status == "optimal"
     assert obj == pytest.approx(direct.objective, abs=1e-6)
     assert audit(sc, schedule).passed
+    assert diagnose_infeasibility(sc) == []  # an ESS without an end target has no hint
 
 
 def test_oracle_refuses_oversized(hourly_reference):

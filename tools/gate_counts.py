@@ -31,6 +31,10 @@ HiGHS optimum of the paper's full model, `build_model(sc, full=True)`. A
 line holds the totals of each set, then the number of audit failures and the
 largest HiGHS difference over the first three sets. Comparing two commits is
 a `diff` of their outputs.
+
+The exit code is 1, after the totals line, when a run fails the audit or
+differs from HiGHS by more than 1e-6 (perfbench's oracle tolerance); each
+such run is then named on stderr. Otherwise it is 0.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ SEED = 3
 MEMBERS = {"hourly": range(4, 64), "halfhour": range(4, 24)}
 NODE_LIMIT = 3_000
 QUARTERHOUR_NODE_LIMIT = 100
+HIGHS_TOL = 1e-6   # perfbench's `oracle.tolerance`, relative to 1 + |HiGHS|
 
 
 def quarter_hour(half):
@@ -113,6 +118,7 @@ def main() -> int:
     totals: dict[str, list[int]] = {}
     audit_failures = 0
     highs_max = 0.0
+    failed: list[str] = []
     for kind, rid, sc, options in runs():
         result = solve_scenario(sc, options)
         sol = result.solution
@@ -129,11 +135,15 @@ def main() -> int:
         # HiGHS proved an optimum, so any other status of ours disagrees.
         diff = abs(sol.objective - highs) / (1.0 + abs(highs)) if sol.status == OPTIMAL else math.inf
         highs_max = max(highs_max, diff)
+        if not passed or diff > HIGHS_TOL:
+            failed.append(f"{kind} {rid}")
         print(kind, rid, sol.status, sol.nodes_explored, sol.lp_iterations, sol.objective.hex(),
               f"audit={'pass' if passed else 'FAIL'}", f"highs={diff:.1e}")
     print("totals", " ".join(f"{kind} {n} / {i}" for kind, (n, i) in totals.items()),
           f"audit_failures {audit_failures} highs_max {highs_max:.1e}")
-    return 0
+    for run in failed:
+        print("gate failure:", run, file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
