@@ -101,6 +101,8 @@ def schedule_from_csv(path, scenario: Scenario) -> Schedule:
                         f"fields, got {len(row)}"
                     )
                 rows.append((reader.line_num + 1, row))
+    except OSError as exc:
+        raise ScheduleCSVError(f"{path}: cannot read: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ScheduleCSVError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     if len(rows) != T:

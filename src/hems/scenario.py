@@ -487,6 +487,8 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         doc = yaml.load(path.read_bytes(), Loader=yaml.CSafeLoader)  # libyaml
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: YAML parse error: {exc}") from exc
     return parse_scenario(doc, base_dir=path.parent)

@@ -120,8 +120,16 @@ def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
     n1, n2 = sc.caps
     fams = {name: _Family(name) for name in FAMILIES}
 
-    grid_buy, grid_sell, pv_used, pv_sold, served_load = schedule.series.tolist()
     scheduled = {"ess": schedule.ess, "ev": schedule.ev}
+    shapes = [("series", schedule.series, 5, "rows"),
+              ("shifts", schedule.shifts, len(sc.appliances), "appliances")]
+    shapes += [(f"{name} series", dev.series, 5, "rows")
+               for name, dev in scheduled.items() if dev is not None]
+    for what, array, rows, unit in shapes:
+        if array.shape != (rows, T):
+            raise ValueError(f"{what} shape {array.shape} does not match {rows} {unit} x {T} intervals")
+
+    grid_buy, grid_sell, pv_used, pv_sold, served_load = schedule.series.tolist()
     devices = [dev.series.tolist() for dev in scheduled.values() if dev is not None]
     pv_gen = sc.pv_gen.tolist()
 
@@ -164,11 +172,6 @@ def audit(scenario: Scenario, schedule: Schedule) -> AuditReport:
     served = sc.non_deferrable.tolist()
     scheduled_deferrable = 0.0
     served_deferrable = 0.0
-    if schedule.shifts.shape != (len(sc.appliances), T):
-        raise ValueError(
-            f"shifts shape {schedule.shifts.shape} does not match "
-            f"{len(sc.appliances)} appliances x {T} intervals"
-        )
     for app, assign in zip(sc.appliances, schedule.shifts.tolist()):
         adt = app.adt_intervals(dt)
         for src, load in enumerate(app.profile.tolist()):

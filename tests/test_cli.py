@@ -480,6 +480,40 @@ def test_validate_rejects_undecodable_schedule_csv(runner, tmp_path, hourly_swee
     assert "not UTF-8" in result.output
 
 
+def _deny(real, path):
+    """`real` (a file-opening callable), raising PermissionError for `path`;
+    the suite may run as root, where `chmod` does not block reads."""
+    def opener(target, *args, **kwargs):
+        if Path(target) == Path(path):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real(target, *args, **kwargs)
+    return opener
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_unreadable_scenario_is_a_usage_error(runner, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(Path, "read_bytes", _deny(Path.read_bytes, HOURLY))
+    # validate reads the scenario before the schedule, so any file will do.
+    rest = ["--out", str(tmp_path / "out")] if command == "solve" else [HOURLY]
+    result = runner.invoke(main, [command, HOURLY, *rest])
+    assert result.exit_code == 2, result.output
+    assert f"{HOURLY}: cannot read: Permission denied" in result.output
+
+
+def test_unreadable_schedule_csv_is_a_usage_error(runner, tmp_path, monkeypatch, hourly_sweep):
+    import hems.io
+
+    scenario, result = hourly_sweep[("C", False)]
+    scenario_path = tmp_path / "case_c.yaml"
+    save_scenario(scenario, scenario_path)
+    csv_path = tmp_path / "schedule.csv"
+    schedule_to_csv(result.schedule, scenario, csv_path)
+    monkeypatch.setattr(hems.io, "open", _deny(open, csv_path), raising=False)
+    result = runner.invoke(main, ["validate", str(scenario_path), str(csv_path)])
+    assert result.exit_code == 2, result.output
+    assert f"{csv_path}: cannot read: Permission denied" in result.output
+
+
 def test_validate_mismatched_horizon_is_usage_error(runner, tmp_path):
     halfhour = SCENARIOS / "reference_halfhour.yaml"
     out = tmp_path / "runs"

@@ -16,6 +16,7 @@ from hems.milp import (
     OPTIMAL,
     MILPModel,
     solve_lp,
+    solve_milp,
 )
 from hems.milp import simplex
 from hems.milp.simplex import CompiledLP, solve_compiled
@@ -205,6 +206,31 @@ def test_every_exit_of_solve_compiled(monkeypatch, build, limit, singular, statu
         assert r.iterations == 1
 
 
+def test_failed_verification_refactorizes_up_to_the_cap(monkeypatch):
+    """An optimality claim whose residuals fail inverts B afresh and claims
+    again, at most twice; no natural LP fails the check, so it is forced."""
+    inv = np.linalg.inv
+    shapes = []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+    trusted = solve_lp(_feasible_start_model())
+    assert trusted.status == OPTIMAL and shapes == []
+    monkeypatch.setattr(simplex, "_factorization_ok", lambda *args: False)
+    r = solve_lp(_feasible_start_model())
+    assert shapes == [(2, 2), (2, 2)]
+    assert r.status == OPTIMAL
+    assert r.objective == trusted.objective
+    assert r.lp_iterations == trusted.lp_iterations == 2
+
+
+def test_empty_model_is_optimal_at_zero():
+    # Nothing to choose: optimal at 0, and branch-and-bound proves it at its root.
+    lp = solve_lp(MILPModel())
+    assert (lp.status, lp.objective, lp.lp_iterations) == (OPTIMAL, 0.0, 0)
+    assert lp.values.shape == (0,)
+    milp = solve_milp(MILPModel())
+    assert (milp.status, milp.objective, milp.bound, milp.nodes_explored) == (OPTIMAL, 0.0, 0.0, 1)
+
+
 def test_degenerate_cycling_guard():
     # Beale's classic cycling example; optimum -0.05 cross-checked against
     # the vertex-enumeration oracle.
@@ -341,9 +367,10 @@ def _sparse_boxed_lp(rng: np.random.Generator, m: int, kind: str) -> MILPModel:
 
 def test_mid_size_sparse_lps_match_highs():
     """Sparse LPs long enough (over 300 iterations each) to pass the periodic
-    refresh every 100 pivots and the 300-pivot threshold of the
-    refactor-on-verify check, where the incrementally updated reduced costs
-    are recomputed."""
+    refresh every 100 pivots several times, where the incrementally updated
+    reduced costs are recomputed, and to reach the optimality claim on a
+    product-form inverse hundreds of pivots old, whose row and basic
+    reduced-cost residuals decide whether the claim stands."""
     rng = np.random.default_rng(2026)
     for m, kind in ((200, "optimal"), (280, "optimal"), (380, "optimal"),
                     (320, "infeasible")):

@@ -64,6 +64,20 @@ def test_audit_rejects_shifts_of_the_wrong_shape(hourly_sweep, shape):
         audit(scenario, schedule)
 
 
+@pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+@pytest.mark.parametrize("target", ["series", "ess"])
+def test_audit_rejects_series_of_the_wrong_length(hourly_sweep, target, extra):
+    # A padded interval would go unread, and a missing one index past the end.
+    scenario, result = hourly_sweep[("C", False)]
+    schedule = clone_schedule(result.schedule)
+    owner = schedule if target == "series" else schedule.ess
+    rows = owner.series
+    owner.series = rows[:, :-1] if extra < 0 else np.hstack([rows, rows[:, -1:]])
+    label = "series" if target == "series" else "ess series"
+    with pytest.raises(ValueError, match=rf"^{label} shape \(5, {24 + extra}\) does not match 5 rows x 24"):
+        audit(scenario, schedule)
+
+
 def test_audit_report_serializes(hourly_sweep):
     scenario, result = hourly_sweep[("D", True)]
     report = audit(scenario, result.schedule)

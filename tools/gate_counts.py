@@ -29,8 +29,9 @@ HiGHS optimum of the paper's full model, `build_model(sc, full=True)`. A
 `quarterhour` line ends instead in `bound=`, the proven lower bound as
 `float.hex()`; its runs are neither audited nor solved by HiGHS. The last
 line holds the totals of each set, then the number of audit failures and the
-largest HiGHS difference over the first three sets. Comparing two commits is
-a `diff` of their outputs.
+largest HiGHS difference over the first three sets. To compare two commits,
+run `python tools/gate_diff.py old.txt new.txt` on their outputs: it checks
+the ROADMAP rule that counts may move but statuses and objectives may not.
 
 The exit code is 1, after the totals line, when a run fails the audit or
 differs from HiGHS by more than 1e-6 (perfbench's oracle tolerance); each
